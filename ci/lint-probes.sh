@@ -86,6 +86,17 @@ EOF
 expect_rule "hot-path-alloc catches Vec::new in the band-kernel span" "hot-path-alloc"
 git checkout -- crates/simd/src/gemm.rs
 
+# 3b. hot-path-alloc, GEMM packing: a per-call pack allocation seeded into
+#     the tensor crate's pack routines (the thread-local pack buffers exist
+#     so a warm product never allocates) falls inside the matmul.rs span.
+cat >> crates/tensor/src/matmul.rs <<'EOF'
+fn pack_a_panel(n: usize) -> Vec<f32> {
+    vec![0.0; n]
+}
+EOF
+expect_rule "hot-path-alloc catches vec! in the GEMM packing span" "hot-path-alloc"
+git checkout -- crates/tensor/src/matmul.rs
+
 # 4. lock-order, drain latch: holding the batcher's queue mutex while
 #    taking the Latch flag and vice versa closes a cycle between the two
 #    serve-crate lock classes added/used by the drain path.

@@ -110,8 +110,9 @@ proptest! {
         inner in 1usize..19,
         cols in 1usize..11,
     ) {
-        // Sizes straddle the kernel's MR/NR tile edges on the small-product
-        // fast path; `packed_path_gradcheck` below covers the packed kernel.
+        // Sizes straddle the kernel's MR/NR tile edges and the
+        // single-row-panel boundary (m ≤ MR at tile heights 4 and 6);
+        // `packed_path_gradcheck` below covers wide, multi-panel operands.
         let mut rng = SeededRng::new(seed.wrapping_add(7_000));
         let x = rng.uniform_tensor(&[m, inner], -1.0, 1.0);
         let w = rng.uniform_tensor(&[inner, cols], -1.0, 1.0);
@@ -258,8 +259,12 @@ proptest! {
 }
 
 /// Deterministic gradcheck at a size whose forward and backward GEMMs all
-/// exceed the small-product cutoff (`k·n > 4096`), so the packed parallel
-/// kernel — padded edge panels included — is what gets differentiated.
+/// span several row panels and several `NR`-column panels with ragged
+/// edges, through every way the kernel reads B: in place (`X·W`), packed
+/// from a transpose (`dY·Wᵀ`) and under a transposed A (`Xᵀ·dY`). The
+/// threaded split above `tensor::PARALLEL_MIN_MACS` is bit-neutral (the
+/// tensor crate's thread-count tests pin that), so a gradcheck at that
+/// size would only repeat this one at a far higher cost.
 #[test]
 fn packed_path_gradcheck() {
     let (m, inner, cols) = (9, 70, 67);

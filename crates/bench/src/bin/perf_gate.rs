@@ -7,7 +7,8 @@
 //!           [--serve BENCH_serve.json] [--serve-only] [--chaos]
 //! ```
 //!
-//! The compute floors (`gemm`, `vit`) are checked against `--perf` (from
+//! The compute floors (`gemm`, `simd`, `model_gemm`, `vit`) are checked
+//! against `--perf` (from
 //! the `perf_summary` binary). When `--serve` is given, the serving floors
 //! are additionally checked against the `serve_loadgen` report; with
 //! `--serve-only` the compute floors are skipped (the `serve-smoke` CI job
@@ -26,6 +27,7 @@
 //!               "min_dispatch_speedup": 1.8, "min_gflops": 12.0} ],
 //!   "simd":  { "min_simd_speedup": 2.0,
 //!              "kernels": [ {"kernel": "softmax", "min_gbps": 1.5} ] },
+//!   "model_gemm": [ {"name": "scores", "min_gflops": 8.0} ],
 //!   "vit":   { "batch": 32, "min_speedup": 1.3, "require_agreement": true,
 //!              "max_batch_ms_per_sample": 2.0,
 //!              "max_allocs_per_request": 8, "min_alloc_reduction": 10,
@@ -388,6 +390,49 @@ fn run(
                 &format!("simd {name} {level} speedup vs scalar"),
                 num(row, "simd row", "speedup")?,
                 min_speedup,
+            );
+        }
+    }
+
+    // One-thread GEMM floors at the paper ViT's own shapes: each threshold
+    // row names a measured row. Same SKIP regime as the other vector-rate
+    // floors: they are calibrated against the AVX2 tile.
+    if let Some(floors) = thresholds.get("model_gemm").and_then(Json::as_array) {
+        let report = perf
+            .get("model_gemm")
+            .ok_or("BENCH_perf.json has no model_gemm object")?;
+        let level = report
+            .get("level")
+            .and_then(Json::as_str)
+            .ok_or("model_gemm report has no level")?;
+        let rows = report
+            .get("rows")
+            .and_then(Json::as_array)
+            .ok_or("model_gemm report has no rows array")?;
+        for threshold in floors {
+            let name = threshold
+                .get("name")
+                .and_then(Json::as_str)
+                .ok_or("model_gemm threshold has no name")?;
+            let row = rows
+                .iter()
+                .find(|r| r.get("name").and_then(Json::as_str) == Some(name))
+                .ok_or_else(|| format!("no measured model_gemm row for {name:?}"))?;
+            let shape = format!(
+                "{}x{}x{} {}",
+                num(row, "model_gemm row", "m")?,
+                num(row, "model_gemm row", "k")?,
+                num(row, "model_gemm row", "n")?,
+                row.get("spec").and_then(Json::as_str).unwrap_or("?"),
+            );
+            if level == "scalar" {
+                println!("SKIP  model gemm {name} {shape} GFLOPS floor: active level is scalar");
+                continue;
+            }
+            gate.check(
+                &format!("model gemm {name} {shape} {level} 1-thread rate (GFLOPS)"),
+                num(row, "model_gemm row", "gflops")?,
+                num(threshold, "model_gemm threshold", "min_gflops")?,
             );
         }
     }

@@ -1,7 +1,8 @@
 //! Performance summary: times the packed GEMM against the pre-PR reference
 //! kernel, the dispatched SIMD kernels (transcendentals and the packed
-//! GEMM) against forced-scalar, and single vs. batched ViT inference,
-//! writing a machine-readable `BENCH_perf.json` at the repo root.
+//! GEMM) against forced-scalar, the GEMM at the paper ViT's own shapes on
+//! one thread, and single vs. batched ViT inference, writing a
+//! machine-readable `BENCH_perf.json` at the repo root.
 //!
 //! This seeds the performance trajectory of the workspace: every future
 //! optimisation PR reruns this binary and compares the JSON against the
@@ -242,6 +243,74 @@ fn bench_gemm_dispatch(sizes: &[usize], reps: usize) -> (&'static str, Vec<GemmD
     (level.name(), rows)
 }
 
+struct ModelGemmRow {
+    name: &'static str,
+    m: usize,
+    k: usize,
+    n: usize,
+    spec: tensor::MatmulSpec,
+    ms: f64,
+}
+
+impl ModelGemmRow {
+    fn gflops(&self) -> f64 {
+        2.0 * (self.m * self.k * self.n) as f64 / (self.ms * 1e6)
+    }
+}
+
+/// Times the dispatched GEMM on one thread at the paper-config ViT's own
+/// product shapes (206×206 image, 20×20 patches: 100 patches of 1200
+/// values, d_model 80, 5 heads of 16, classifier hidden 144 → 128): the
+/// patch embedding, one attention head's `Q·Kᵀ` and `A·V`, and one
+/// observation's first classifier layer. One thread is how a serving
+/// worker runs them. Each sample times enough back-to-back calls to span
+/// a few milliseconds, so the microsecond-scale products are not
+/// dominated by timer overhead.
+fn bench_model_gemm(reps: usize) -> Vec<ModelGemmRow> {
+    use tensor::MatmulSpec;
+    let shapes = [
+        ("patch_embed", 100, 1200, 80, MatmulSpec::NN),
+        ("scores", 100, 16, 100, MatmulSpec::NT),
+        ("context", 100, 100, 16, MatmulSpec::NN),
+        ("head1", 1, 144, 128, MatmulSpec::NN),
+    ];
+    shapes
+        .into_iter()
+        .map(|(name, m, k, n, spec)| {
+            let a = SeededRng::new(7)
+                .uniform_tensor(&[m * k], -1.0, 1.0)
+                .into_vec();
+            let b = SeededRng::new(8)
+                .uniform_tensor(&[k * n], -1.0, 1.0)
+                .into_vec();
+            let mut out = vec![0.0f32; m * n];
+            let calls = ((1usize << 24) / (m * k * n)).max(1);
+            let ms = parallel::with_threads(1, || {
+                time_ms(reps, || {
+                    for _ in 0..calls {
+                        tensor::gemm_ex_into(m, k, n, &a, &b, spec, &mut out);
+                        std::hint::black_box(&out);
+                    }
+                })
+            }) / calls as f64;
+            let row = ModelGemmRow {
+                name,
+                m,
+                k,
+                n,
+                spec,
+                ms,
+            };
+            eprintln!(
+                "model-gemm {name:>11} {m}x{k}x{n} {spec:?} 1 thread  {:>8.4} ms  {:>6.2} GFLOPS",
+                row.ms,
+                row.gflops()
+            );
+            row
+        })
+        .collect()
+}
+
 struct VitResult {
     batch: usize,
     single_ms_per_sample: f64,
@@ -359,6 +428,7 @@ fn main() {
     let gemm = bench_gemm(sizes, gemm_reps);
     let (simd_level, simd_rows) = bench_simd(scale, gemm_reps.max(5));
     let (_, gemm_dispatch) = bench_gemm_dispatch(sizes, gemm_reps);
+    let model_gemm = bench_model_gemm(gemm_reps);
     let vit = bench_vit(scale, vit_reps);
 
     // Round to the precision the hand-formatted report used to commit.
@@ -412,6 +482,33 @@ fn main() {
                             ("dispatched_ms", r4(r.dispatched_ms)),
                             ("speedup", r3(r.scalar_ms / r.dispatched_ms)),
                             ("gflops", Json::from((gflops * 1e2).round() / 1e2)),
+                        ])
+                    })),
+                ),
+            ]),
+        ),
+        (
+            "model_gemm",
+            Json::obj([
+                ("level", Json::from(simd_level)),
+                ("threads", Json::from(1usize)),
+                (
+                    "rows",
+                    Json::arr(model_gemm.iter().map(|r| {
+                        let spec = match (r.spec.trans_a, r.spec.trans_b) {
+                            (false, false) => "NN",
+                            (true, false) => "TN",
+                            (false, true) => "NT",
+                            (true, true) => "TT",
+                        };
+                        Json::obj([
+                            ("name", Json::from(r.name)),
+                            ("m", Json::from(r.m)),
+                            ("k", Json::from(r.k)),
+                            ("n", Json::from(r.n)),
+                            ("spec", Json::from(spec)),
+                            ("ms", Json::from((r.ms * 1e6).round() / 1e6)),
+                            ("gflops", Json::from((r.gflops() * 1e2).round() / 1e2)),
                         ])
                     })),
                 ),

@@ -21,11 +21,13 @@
 //! once instead of twice. Predictions must match exactly in both modes.
 //!
 //! Each report also carries `gemm_bits`: a GEMM-heavy leg that runs the
-//! packed kernel through all four transpose variants at sizes past the
-//! small-product fast path and off the vector tile's panel edges, so
-//! cross-level parity exercises the dispatched band microkernels
-//! directly (the smoke ViT's matmuls are small enough to stay on the
-//! unpacked path). The same bit/ULP bound applies.
+//! band kernels through all four transpose variants off the vector tile's
+//! panel edges, plus the paper-config ViT's served shapes (the single
+//! observation's classification head and one attention head's `Q·Kᵀ` and
+//! `A·V`), so cross-level parity exercises the dispatched band
+//! microkernels directly at the sizes that matter. The smoke ViT's
+//! logits run the same kernels (every matmul does). The same bit/ULP
+//! bound applies.
 
 use std::process::ExitCode;
 
@@ -63,27 +65,34 @@ fn smoke_logits_and_predictions() -> (Tensor, Vec<usize>) {
     (logits, predictions)
 }
 
-/// Packed-GEMM output bits at the active level: all four transpose
-/// variants at `37 × 33 × 129` — `k·n = 4257` crosses the small-product
-/// cutoff into the packed band kernels, and every dimension sits one off
-/// a tile/panel multiple (m = 6·6+1, n = 16·8+1), so padded edge panels
-/// are part of the dump. Operands are positive so the accumulations are
-/// cancellation-free: near-zero outputs would make the FMA leg's ULP
-/// distance meaningless (a tiny absolute difference spans thousands of
-/// ULP next to zero).
+/// GEMM output bits at the active level, over two groups of products:
+///
+/// * all four transpose variants at `37 × 33 × 129`, where every dimension
+///   sits one off a tile/panel multiple (m = 6·6+1, n = 16·8+1), so
+///   ragged edge panels are part of the dump;
+/// * the paper-config ViT's served shapes: `head1` 1×144×128 (one
+///   observation), `scores` 100×16×100 `Q·Kᵀ` and `context` 100×100×16
+///   `A·V` (one attention head).
+///
+/// Operands are positive so the accumulations are cancellation-free:
+/// near-zero outputs would make the FMA leg's ULP distance meaningless (a
+/// tiny absolute difference spans thousands of ULP next to zero).
 fn gemm_bits() -> Vec<u32> {
     let level = simd::active_level();
-    let (m, k, n) = (37, 33, 129);
+    let products = [
+        (37, 33, 129, MatmulSpec::NN),
+        (37, 33, 129, MatmulSpec::TN),
+        (37, 33, 129, MatmulSpec::NT),
+        (37, 33, 129, MatmulSpec::TT),
+        (1, 144, 128, MatmulSpec::NN),
+        (100, 16, 100, MatmulSpec::NT),
+        (100, 100, 16, MatmulSpec::NN),
+    ];
     let mut rng = SeededRng::new(77);
-    let a = rng.uniform_tensor(&[m, k], 0.1, 2.0).as_slice().to_vec();
-    let b = rng.uniform_tensor(&[k, n], 0.1, 2.0).as_slice().to_vec();
     let mut bits = Vec::new();
-    for spec in [
-        MatmulSpec::NN,
-        MatmulSpec::TN,
-        MatmulSpec::NT,
-        MatmulSpec::TT,
-    ] {
+    for (m, k, n, spec) in products {
+        let a = rng.uniform_tensor(&[m, k], 0.1, 2.0).as_slice().to_vec();
+        let b = rng.uniform_tensor(&[k, n], 0.1, 2.0).as_slice().to_vec();
         let mut out = vec![0.0f32; m * n];
         tensor::gemm_ex_into_at(level, m, k, n, &a, &b, spec, &mut out);
         bits.extend(out.iter().map(|v| v.to_bits()));

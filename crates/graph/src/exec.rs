@@ -16,7 +16,10 @@
 //! — a plan executes with **zero** buffer allocations except the one
 //! output tensor ([`CompiledPlan::execute`]), or none at all when the
 //! caller only needs per-row argmaxes ([`CompiledPlan::execute_argmax`],
-//! the serve hot path).
+//! the serve hot path). Matmul steps write straight into their slots and
+//! pack their operands into the executing thread's reused pack buffers,
+//! so on one thread (how a serving worker runs) they make no heap
+//! allocations either once the buffers have grown to the plan's shapes.
 
 use tensor::{gemm_ex_into_at, Tensor};
 

@@ -80,7 +80,7 @@ fn schema(msg: impl Into<String>) -> CodecError {
     CodecError::Schema(msg.into())
 }
 
-/// Reads a required array of finite numbers as `f32`s.
+/// Reads a required array of numbers that are finite as `f32`s.
 fn channel(obj: &Json, key: &str, context: &str) -> Result<Option<Vec<f32>>, CodecError> {
     let Some(value) = obj.get(key) else {
         return Ok(None);
@@ -90,11 +90,18 @@ fn channel(obj: &Json, key: &str, context: &str) -> Result<Option<Vec<f32>>, Cod
         .ok_or_else(|| schema(format!("{context}: {key:?} must be an array of numbers")))?;
     let mut out = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
+        // Checked after the cast: a finite f64 beyond the f32 range (`1e39`)
+        // would otherwise reach the model as an infinity.
         let n = item
             .as_f64()
+            .map(|n| n as f32)
             .filter(|n| n.is_finite())
-            .ok_or_else(|| schema(format!("{context}: {key}[{i}] must be a finite number")))?;
-        out.push(n as f32);
+            .ok_or_else(|| {
+                schema(format!(
+                    "{context}: {key}[{i}] must be a finite number within f32 range"
+                ))
+            })?;
+        out.push(n);
     }
     Ok(Some(out))
 }
@@ -373,6 +380,14 @@ mod tests {
             ),
             (br#"{"observation": {"mean": ["x"]}}"#, "finite number"),
             (
+                br#"{"observation": {"mean": [1e39]}}"#,
+                "mean[0] must be a finite",
+            ),
+            (
+                br#"{"observation": {"mean": [1], "max": [-1e39]}}"#,
+                "max[0] must be a finite",
+            ),
+            (
                 br#"{"model": 7, "observation": {"mean": [1]}}"#,
                 "\"model\" must be a string",
             ),
@@ -393,6 +408,16 @@ mod tests {
             parse_localize_request(b"{not json"),
             Err(CodecError::Json(_))
         ));
+    }
+
+    #[test]
+    fn values_at_the_edge_of_f32_range_stay_finite() {
+        // The largest f32 survives the f64 -> f32 cast; just past the
+        // range a value would round to infinity and is refused above.
+        let body = format!(r#"{{"observation": {{"mean": [{}, -1e-45]}}}}"#, f32::MAX);
+        let req = parse_localize_request(body.as_bytes()).expect("in range");
+        assert_eq!(req.observations[0].mean, vec![f32::MAX, -1e-45]);
+        assert!(req.observations[0].mean.iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -298,13 +298,26 @@ fn single_and_bulk_forms_round_trip_and_models_are_listed() {
     assert_eq!(response.status, 404);
     let response = post_localize(&mut conn, &stream, b"{\"not\": \"valid\"}");
     assert_eq!(response.status, 400);
+    // A finite JSON number beyond the f32 range is refused with the same
+    // 400 instead of reaching the model as an infinity.
+    let response = post_localize(
+        &mut conn,
+        &stream,
+        b"{\"observation\": {\"mean\": [-70, 1e39]}}",
+    );
+    assert_eq!(response.status, 400);
+    assert!(
+        String::from_utf8_lossy(&response.body).contains("within f32 range"),
+        "body: {}",
+        String::from_utf8_lossy(&response.body)
+    );
     http::write_request(&mut (&stream), Method::Get, "/nope", &[], b"").unwrap();
     assert_eq!(conn.read_response().unwrap().status, 404);
 
     // Metrics reflect what happened.
     let metrics = server.metrics().snapshot_json();
     assert!(metrics.get("requests_total").unwrap().as_f64().unwrap() >= 5.0);
-    assert!(metrics.get("client_errors").unwrap().as_f64().unwrap() >= 2.0);
+    assert!(metrics.get("client_errors").unwrap().as_f64().unwrap() >= 3.0);
 }
 
 /// A localizer whose batches take long enough to deterministically fill a

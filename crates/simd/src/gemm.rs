@@ -2,8 +2,9 @@
 //!
 //! The packing, parallel row-panel split and shape logic of the GEMM
 //! live in `tensor::matmul`; this module owns only the register-tiled
-//! core that multiplies one packed `MR`-row panel of A against the full
-//! packed B, because that core is where the dispatch levels differ:
+//! core that multiplies one packed `MR`-row panel of A against every
+//! `NR`-column panel of B, because that core is where the dispatch levels
+//! differ:
 //!
 //! | [`Level`]  | tile (`MR × NR`) | kernel                                       |
 //! |------------|------------------|----------------------------------------------|
@@ -30,15 +31,17 @@
 //! therefore only ULP-bounded; like the transcendental kernels it is
 //! opt-in via `VITAL_SIMD=fma`.
 //!
-//! # Packing contract
+//! # Operand contract
 //!
-//! Callers pack operands at the tile dims of the *clamped* level
-//! ([`tile_dims`] applies the hardware clamp, so packing and kernel
-//! always agree): `a_panel` holds `k` groups of `MR` consecutive row
-//! values (zero-padded past the live rows), `packed_b` holds
-//! `⌈n / NR⌉` panels of `k` groups of `NR` consecutive column values
-//! (zero-padded past `n`). Padded lanes are computed and discarded; they
-//! never reach the output.
+//! Callers pack at the tile dims of the *clamped* level ([`tile_dims`]
+//! applies the hardware clamp, so packing and kernel always agree):
+//! `a_panel` holds `k` groups of `MR` consecutive row values (zero-padded
+//! past the live rows). B is read through [`PanelsB`]: either packed —
+//! `⌈n / NR⌉` panels of `k` groups of `NR` consecutive column values —
+//! or straight out of a row-major matrix. Either way the kernels read
+//! only the live columns of the ragged last panel (masked loads at the
+//! vector levels), so nothing past column `n` is ever touched and packed
+//! panels need no padding.
 
 use crate::{clamp_supported, Level};
 
@@ -55,12 +58,53 @@ pub fn tile_dims(level: Level) -> (usize, usize) {
     }
 }
 
-/// Multiplies one packed A panel by every packed B panel at the given
-/// level (clamped at hardware support), writing the `rows × n` result
-/// band.
+/// Where the band kernel reads B: a sequence of `NR`-column panels, each
+/// `k` rows deep, with row `p` of panel `jp` starting at
+/// `jp · panel_stride + p · row_stride` and holding the panel's live
+/// columns (`NR`, or fewer in the ragged last panel).
+#[derive(Debug, Clone, Copy)]
+pub struct PanelsB<'a> {
+    data: &'a [f32],
+    row_stride: usize,
+    panel_stride: usize,
+}
+
+impl<'a> PanelsB<'a> {
+    /// Panels packed back to back at `level`'s tile width: `k` groups of
+    /// `NR` values each (see the module's operand contract).
+    pub fn packed(level: Level, data: &'a [f32], k: usize) -> Self {
+        let nr = tile_dims(level).1;
+        PanelsB {
+            data,
+            row_stride: nr,
+            panel_stride: k * nr,
+        }
+    }
+
+    /// A row-major B with row stride `ld`, read in place: panel `jp` is
+    /// columns `jp · NR ..` of every row, already contiguous, so no
+    /// packing copy is needed.
+    pub fn row_major(level: Level, data: &'a [f32], ld: usize) -> Self {
+        PanelsB {
+            data,
+            row_stride: ld,
+            panel_stride: tile_dims(level).1,
+        }
+    }
+
+    /// The rows of panel `jp`, each holding at least the panel's live
+    /// columns.
+    fn panel(&self, jp: usize) -> std::slice::Chunks<'a, f32> {
+        self.data[jp * self.panel_stride..].chunks(self.row_stride)
+    }
+}
+
+/// Multiplies one packed A panel by every B panel at the given level
+/// (clamped at hardware support), writing the `rows × n` result band.
 ///
-/// * `a_panel`: `k × MR` packed values for this band's rows.
-/// * `packed_b`: `⌈n / NR⌉` panels of `k × NR` packed values.
+/// * `a_panel`: exactly `k × MR` packed values for this band's rows; its
+///   length sets the product's inner dimension `k`.
+/// * `b`: `⌈n / NR⌉` panels of `k × NR` values.
 /// * `rows`: live output rows in this band (`1..=MR`).
 /// * `out`: row-major `rows × n` destination, fully overwritten.
 ///
@@ -71,23 +115,22 @@ pub fn tile_dims(level: Level) -> (usize, usize) {
 pub fn gemm_band_at(
     level: Level,
     a_panel: &[f32],
-    packed_b: &[f32],
-    k: usize,
+    b: PanelsB<'_>,
     n: usize,
     rows: usize,
     out: &mut [f32],
 ) {
     match clamp_supported(level) {
-        Level::Scalar => gemm_band_scalar(a_panel, packed_b, k, n, rows, out),
+        Level::Scalar => gemm_band_scalar(a_panel, b, n, rows, out),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `clamp_supported` only returns Avx2 when the avx2
         // `is_x86_feature_detected!` check passed.
-        Level::Avx2 => unsafe { x86::gemm_band_avx2(a_panel, packed_b, k, n, rows, out) },
+        Level::Avx2 => unsafe { x86::gemm_band_avx2(a_panel, b, n, rows, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above; Fma additionally implies the fma feature.
-        Level::Fma => unsafe { x86::gemm_band_fma(a_panel, packed_b, k, n, rows, out) },
+        Level::Fma => unsafe { x86::gemm_band_fma(a_panel, b, n, rows, out) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => gemm_band_scalar(a_panel, packed_b, k, n, rows, out),
+        _ => gemm_band_scalar(a_panel, b, n, rows, out),
     }
 }
 
@@ -97,31 +140,27 @@ pub fn gemm_band_at(
 /// auto-vectorization target; there is deliberately no zero-skipping
 /// branch (a data-dependent shortcut would defeat vectorization and make
 /// runtime input-dependent).
-fn gemm_band_scalar(
-    a_panel: &[f32],
-    packed_b: &[f32],
-    k: usize,
-    n: usize,
-    rows: usize,
-    out: &mut [f32],
-) {
+fn gemm_band_scalar(a_panel: &[f32], b: PanelsB<'_>, n: usize, rows: usize, out: &mut [f32]) {
     const MR: usize = 4;
     const NR: usize = 8;
-    for (jp, b_panel) in packed_b.chunks(k * NR).enumerate() {
+    for jp in 0..n.div_ceil(NR) {
         let j0 = jp * NR;
         let cols = NR.min(n - j0);
         let mut acc = [[0.0f32; NR]; MR];
         // Fixed-size array references make every index below
         // bounds-check free, which lets LLVM keep the tile in registers.
-        for (a, b) in a_panel
-            .chunks_exact(MR)
-            .zip(b_panel.chunks_exact(NR))
-            .take(k)
-        {
+        for (a, b_row) in a_panel.chunks_exact(MR).zip(b.panel(jp)) {
             let a: &[f32; MR] = a.try_into().expect("A panel chunk is MR wide");
-            let b: &[f32; NR] = b.try_into().expect("B panel chunk is NR wide");
+            // The ragged last panel reads only its live columns.
+            let mut edge = [0.0f32; NR];
+            let b_row: &[f32; NR] = if cols == NR {
+                b_row[..NR].try_into().expect("B panel row is NR wide")
+            } else {
+                edge[..cols].copy_from_slice(&b_row[..cols]);
+                &edge
+            };
             for (acc_row, &ai) in acc.iter_mut().zip(a) {
-                for (c, &bv) in acc_row.iter_mut().zip(b) {
+                for (c, &bv) in acc_row.iter_mut().zip(b_row) {
                     *c += ai * bv;
                 }
             }
@@ -137,6 +176,8 @@ mod x86 {
     //! Explicit-intrinsic band kernels behind `#[target_feature]` gates.
 
     use core::arch::x86_64::*;
+
+    use super::PanelsB;
 
     /// Tile height of the vector kernels (both halves of the 6 × 16 tile).
     const MR: usize = 6;
@@ -154,29 +195,51 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub unsafe fn gemm_band_avx2(
         a_panel: &[f32],
-        packed_b: &[f32],
-        k: usize,
+        b: PanelsB<'_>,
         n: usize,
         rows: usize,
         out: &mut [f32],
     ) {
-        for (jp, b_panel) in packed_b.chunks(k * NR).enumerate() {
+        // SAFETY: AVX2 is available per this function's contract, which
+        // is all `band_avx2` requires.
+        unsafe {
+            match rows {
+                1 => band_avx2::<1>(a_panel, b, n, out),
+                2 => band_avx2::<2>(a_panel, b, n, out),
+                3 => band_avx2::<3>(a_panel, b, n, out),
+                4 => band_avx2::<4>(a_panel, b, n, out),
+                5 => band_avx2::<5>(a_panel, b, n, out),
+                _ => band_avx2::<MR>(a_panel, b, n, out),
+            }
+        }
+    }
+
+    /// [`gemm_band_avx2`] for a band of exactly `R` live rows: only the
+    /// live rows are accumulated, so a short band (a single-observation
+    /// product, the last panel of a tall one) does not pay for the full
+    /// 6-row tile. Each element's chain is unchanged.
+    ///
+    /// # Safety
+    /// The running CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn band_avx2<const R: usize>(
+        a_panel: &[f32],
+        b: PanelsB<'_>,
+        n: usize,
+        out: &mut [f32],
+    ) {
+        for jp in 0..n.div_ceil(NR) {
             let j0 = jp * NR;
             let cols = NR.min(n - j0);
-            // SAFETY: AVX2 is available per this function's contract; the
-            // loads below read 8 floats at offsets 0 and 8 of 16-float
-            // `chunks_exact(NR)` slices and `loadu`/`storeu` have no
-            // alignment requirement.
+            // SAFETY: AVX2 is available per this function's contract;
+            // `load_b_row` reads and `store_band` writes only the `cols`
+            // live values of each row.
             unsafe {
-                let mut lo = [_mm256_setzero_ps(); MR];
-                let mut hi = [_mm256_setzero_ps(); MR];
-                for (a, b) in a_panel
-                    .chunks_exact(MR)
-                    .zip(b_panel.chunks_exact(NR))
-                    .take(k)
-                {
-                    let b_lo = _mm256_loadu_ps(b.as_ptr());
-                    let b_hi = _mm256_loadu_ps(b.as_ptr().add(8));
+                let mask = lane_mask(cols);
+                let mut lo = [_mm256_setzero_ps(); R];
+                let mut hi = [_mm256_setzero_ps(); R];
+                for (a, b_row) in a_panel.chunks_exact(MR).zip(b.panel(jp)) {
+                    let (b_lo, b_hi) = load_b_row(b_row, cols, mask);
                     for ((cl, ch), &ai) in lo.iter_mut().zip(hi.iter_mut()).zip(a) {
                         let av = _mm256_set1_ps(ai);
                         // Unfused on purpose: two roundings, exactly like
@@ -185,7 +248,7 @@ mod x86 {
                         *ch = _mm256_add_ps(_mm256_mul_ps(av, b_hi), *ch);
                     }
                 }
-                store_band(&lo, &hi, rows, cols, j0, n, out);
+                store_band(&lo, &hi, cols, mask, j0, n, out);
             }
         }
     }
@@ -200,78 +263,145 @@ mod x86 {
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn gemm_band_fma(
         a_panel: &[f32],
-        packed_b: &[f32],
-        k: usize,
+        b: PanelsB<'_>,
         n: usize,
         rows: usize,
         out: &mut [f32],
     ) {
-        for (jp, b_panel) in packed_b.chunks(k * NR).enumerate() {
+        // SAFETY: AVX2+FMA are available per this function's contract,
+        // which is all `band_fma` requires.
+        unsafe {
+            match rows {
+                1 => band_fma::<1>(a_panel, b, n, out),
+                2 => band_fma::<2>(a_panel, b, n, out),
+                3 => band_fma::<3>(a_panel, b, n, out),
+                4 => band_fma::<4>(a_panel, b, n, out),
+                5 => band_fma::<5>(a_panel, b, n, out),
+                _ => band_fma::<MR>(a_panel, b, n, out),
+            }
+        }
+    }
+
+    /// [`gemm_band_fma`] for a band of exactly `R` live rows (see
+    /// [`band_avx2`]).
+    ///
+    /// # Safety
+    /// The running CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn band_fma<const R: usize>(a_panel: &[f32], b: PanelsB<'_>, n: usize, out: &mut [f32]) {
+        for jp in 0..n.div_ceil(NR) {
             let j0 = jp * NR;
             let cols = NR.min(n - j0);
             // SAFETY: AVX2+FMA are available per this function's
-            // contract; loads read 8 floats at offsets 0 and 8 of
-            // 16-float `chunks_exact(NR)` slices, unaligned ops
-            // throughout.
+            // contract; `load_b_row` reads and `store_band` writes only
+            // the `cols` live values of each row.
             unsafe {
-                let mut lo = [_mm256_setzero_ps(); MR];
-                let mut hi = [_mm256_setzero_ps(); MR];
-                for (a, b) in a_panel
-                    .chunks_exact(MR)
-                    .zip(b_panel.chunks_exact(NR))
-                    .take(k)
-                {
-                    let b_lo = _mm256_loadu_ps(b.as_ptr());
-                    let b_hi = _mm256_loadu_ps(b.as_ptr().add(8));
+                let mask = lane_mask(cols);
+                let mut lo = [_mm256_setzero_ps(); R];
+                let mut hi = [_mm256_setzero_ps(); R];
+                for (a, b_row) in a_panel.chunks_exact(MR).zip(b.panel(jp)) {
+                    let (b_lo, b_hi) = load_b_row(b_row, cols, mask);
                     for ((cl, ch), &ai) in lo.iter_mut().zip(hi.iter_mut()).zip(a) {
                         let av = _mm256_set1_ps(ai);
                         *cl = _mm256_fmadd_ps(av, b_lo, *cl);
                         *ch = _mm256_fmadd_ps(av, b_hi, *ch);
                     }
                 }
-                store_band(&lo, &hi, rows, cols, j0, n, out);
+                store_band(&lo, &hi, cols, mask, j0, n, out);
             }
         }
     }
 
-    /// Writes the live `rows × cols` corner of a 6 × 16 accumulator tile
-    /// (`lo` = columns 0–7, `hi` = columns 8–15) into the output band at
-    /// column offset `j0`.
+    /// `-1` for sixteen lanes, then `0`: eight lanes read from
+    /// `LANE_MASK[16 - cols + h..]` enable exactly the lanes of half `h`
+    /// (0 or 8) that fall below `cols`.
+    static LANE_MASK: [i32; 32] = [
+        -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, //
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    ];
+
+    /// Load/store masks of the two 8-lane halves of a panel row with
+    /// `cols` (`1..=NR`) live columns.
     ///
     /// # Safety
-    /// The caller must have AVX enabled (both callers are
-    /// `#[target_feature]` gated) and `out` must hold at least
-    /// `rows * n` elements with `j0 + cols <= n`.
+    /// The caller must have AVX2 enabled (every caller is
+    /// `#[target_feature]` gated).
     #[inline(always)]
-    unsafe fn store_band(
-        lo: &[__m256; MR],
-        hi: &[__m256; MR],
-        rows: usize,
+    unsafe fn lane_mask(cols: usize) -> [__m256i; 2] {
+        let lo = &LANE_MASK[NR - cols..NR - cols + 8];
+        let hi = &LANE_MASK[NR + 8 - cols..NR + 16 - cols];
+        // SAFETY: AVX2 is enabled per this function's contract; both
+        // slices are exactly 8 `i32`s and `loadu` has no alignment
+        // requirement.
+        unsafe {
+            [
+                _mm256_loadu_si256(lo.as_ptr().cast()),
+                _mm256_loadu_si256(hi.as_ptr().cast()),
+            ]
+        }
+    }
+
+    /// Loads the first `cols` values of a B panel row as two 8-lane
+    /// halves. Lanes at or past `cols` read as zero and their memory is
+    /// never touched, so a ragged last panel can be read in place.
+    ///
+    /// # Safety
+    /// The caller must have AVX2 enabled (both callers are
+    /// `#[target_feature]` gated) and `mask` must be `lane_mask(cols)`.
+    #[inline(always)]
+    unsafe fn load_b_row(row: &[f32], cols: usize, mask: [__m256i; 2]) -> (__m256, __m256) {
+        let row = &row[..cols];
+        let p = row.as_ptr();
+        // SAFETY: `row` holds `cols` floats. Full rows load 16 of them;
+        // otherwise only the lanes below `cols` are enabled in the masked
+        // loads, and a half with no live lane is not loaded at all.
+        unsafe {
+            if cols == NR {
+                (_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(8)))
+            } else if cols > 8 {
+                (_mm256_loadu_ps(p), _mm256_maskload_ps(p.add(8), mask[1]))
+            } else {
+                (_mm256_maskload_ps(p, mask[0]), _mm256_setzero_ps())
+            }
+        }
+    }
+
+    /// Writes an `R × cols` accumulator tile (`lo` = columns 0–7, `hi` =
+    /// columns 8–15) into the output band at column offset `j0`; a ragged
+    /// edge panel stores only its live lanes, under `mask`.
+    ///
+    /// # Safety
+    /// The caller must have AVX2 enabled (both callers are
+    /// `#[target_feature]` gated) and `mask` must be `lane_mask(cols)`:
+    /// the masked stores trust it to enable no lane past `cols`. The
+    /// destination range itself is bounds-checked by slicing.
+    #[inline(always)]
+    unsafe fn store_band<const R: usize>(
+        lo: &[__m256; R],
+        hi: &[__m256; R],
         cols: usize,
+        mask: [__m256i; 2],
         j0: usize,
         n: usize,
         out: &mut [f32],
     ) {
-        for (i, (row_lo, row_hi)) in lo.iter().zip(hi).enumerate().take(rows) {
+        for (i, (row_lo, row_hi)) in lo.iter().zip(hi).enumerate() {
             let dst = &mut out[i * n + j0..i * n + j0 + cols];
-            if cols == NR {
-                // SAFETY: `dst` is exactly NR = 16 floats when cols == NR;
-                // `storeu` has no alignment requirement.
-                unsafe {
-                    _mm256_storeu_ps(dst.as_mut_ptr(), *row_lo);
-                    _mm256_storeu_ps(dst.as_mut_ptr().add(8), *row_hi);
+            let p = dst.as_mut_ptr();
+            // SAFETY: `dst` holds `cols` floats. Full rows store 16 of
+            // them; otherwise only the lanes below `cols` are enabled in
+            // the masked stores, and a half with no live lane is not
+            // stored at all.
+            unsafe {
+                if cols == NR {
+                    _mm256_storeu_ps(p, *row_lo);
+                    _mm256_storeu_ps(p.add(8), *row_hi);
+                } else if cols > 8 {
+                    _mm256_storeu_ps(p, *row_lo);
+                    _mm256_maskstore_ps(p.add(8), mask[1], *row_hi);
+                } else {
+                    _mm256_maskstore_ps(p, mask[0], *row_lo);
                 }
-            } else {
-                // Partial edge panel: spill the tile row to the stack and
-                // copy only the live columns.
-                let mut tmp = [0.0f32; NR];
-                // SAFETY: `tmp` is exactly NR = 16 floats; unaligned
-                // stores at offsets 0 and 8.
-                unsafe {
-                    _mm256_storeu_ps(tmp.as_mut_ptr(), *row_lo);
-                    _mm256_storeu_ps(tmp.as_mut_ptr().add(8), *row_hi);
-                }
-                dst.copy_from_slice(&tmp[..cols]);
             }
         }
     }
@@ -316,7 +446,14 @@ mod tests {
         let a_panel = pack_a(a, k, rows, mr);
         let packed_b = pack_b(b, k, n, nr);
         let mut out = vec![f32::NAN; rows * n];
-        gemm_band_at(level, &a_panel, &packed_b, k, n, rows, &mut out);
+        gemm_band_at(
+            level,
+            &a_panel,
+            PanelsB::packed(level, &packed_b, k),
+            n,
+            rows,
+            &mut out,
+        );
         out
     }
 
@@ -362,5 +499,34 @@ mod tests {
         let sb: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
         let ab: Vec<u32> = avx2.iter().map(|v| v.to_bits()).collect();
         assert_eq!(sb, ab, "scalar vs avx2 band bits");
+    }
+
+    #[test]
+    fn row_major_b_in_place_matches_packed_b_bit_for_bit() {
+        // Widths below, on and past one panel of either tile, ragged last
+        // panels included; the in-place read stops at each row's live
+        // columns, so `b` holds exactly `k × n` values.
+        let k = 9;
+        for n in [1, 5, 8, 15, 16, 17, 40] {
+            let a: Vec<f32> = (0..4 * k).map(|i| ((i % 11) as f32) * 0.3 - 1.4).collect();
+            let b: Vec<f32> = (0..k * n).map(|i| ((i % 13) as f32) * 0.2 - 1.1).collect();
+            for level in [Level::Scalar, Level::Avx2, Level::Fma] {
+                let (mr, nr) = tile_dims(level);
+                for rows in 1..=mr.min(4) {
+                    let a_panel = pack_a(&a, k, rows, mr);
+                    let packed_b = pack_b(&b, k, n, nr);
+                    let mut packed = vec![f32::NAN; rows * n];
+                    let b_packed = PanelsB::packed(level, &packed_b, k);
+                    gemm_band_at(level, &a_panel, b_packed, n, rows, &mut packed);
+                    let mut in_place = vec![f32::NAN; rows * n];
+                    let b_in_place = PanelsB::row_major(level, &b, n);
+                    gemm_band_at(level, &a_panel, b_in_place, n, rows, &mut in_place);
+                    let pb: Vec<u32> = packed.iter().map(|v| v.to_bits()).collect();
+                    let ib: Vec<u32> = in_place.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(pb, ib, "{level:?} n={n} rows={rows}");
+                    assert!(packed.iter().all(|v| v.is_finite()), "{level:?} n={n}");
+                }
+            }
+        }
     }
 }

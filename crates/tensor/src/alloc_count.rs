@@ -17,10 +17,12 @@
 //! exists to eliminate.
 //!
 //! A `#[global_allocator]` hook would count raw mallocs instead, but needs
-//! `unsafe` — banned workspace-wide by the lint-pinned
-//! `#![forbid(unsafe_code)]` attributes — and would also count noise the
+//! `unsafe` — banned in this crate's library code by the lint-pinned
+//! `#![forbid(unsafe_code)]` attribute — and would also count noise the
 //! arena cannot address. Counting at the `from_parts` choke point keeps
-//! the number attributable.
+//! the number attributable. (The raw-malloc question for the GEMM alone
+//! is answered by the integration test `tests/gemm_alloc.rs`, whose
+//! counting allocator shows a warm one-thread product allocates nothing.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,31 +1,46 @@
 //! Packed, register-tiled, data-parallel, runtime-dispatched matrix
 //! multiplication.
 //!
-//! Every matmul funnels into one packed GEMM through a single entry point,
+//! Every matmul funnels into one GEMM path through a single entry point,
 //! [`Tensor::matmul_ex`], whose [`MatmulSpec`] selects which operands are
 //! read transposed (`A·B`, `Aᵀ·B`, `A·Bᵀ`, `Aᵀ·Bᵀ`); the legacy
-//! `matmul`/`matmul_tn`/`matmul_nt` methods are thin wrappers over it.
-//! The operands are repacked into contiguous panels (which also absorbs
-//! the transposes, so the kernel never strides) and row panels of the
-//! output are distributed across threads via the `parallel` crate. The
-//! register-tiled core lives in [`simd::gemm`]: the tile dims come **at
+//! `matmul`/`matmul_tn`/`matmul_nt` methods are thin wrappers over it,
+//! and the autograd tape and compiled graph plans call the same path.
+//! There is no separate small-product loop: a one-row query, a 16-wide
+//! attention head and a batched patch embedding all run the same
+//! register-tiled band kernel from [`simd::gemm`]. A is packed into
+//! `MR`-row panels (absorbing its transpose); a row-major B is read in
+//! place and a transposed B is packed into `NR`-column panels, so the
+//! kernel always streams unit-stride panel rows. The tile dims come **at
 //! runtime** from the active dispatch level (`simd::gemm::tile_dims` —
-//! portable 4 × 8 scalar tile, explicit-intrinsic 6 × 8 AVX2 tile,
-//! opt-in 8 × 8 FMA tile), so the one portable binary runs the wide tile
+//! portable 4 × 8 scalar tile, explicit-intrinsic 6 × 16 AVX2 tile,
+//! opt-in 6 × 16 FMA tile), so the one portable binary runs the wide tile
 //! wherever the CPU supports it — no `-C target-cpu=native` rebuild.
+//!
+//! Pack buffers are thread-local and reused, so a warm product allocates
+//! nothing on the calling thread. Products of at least
+//! [`PARALLEL_MIN_MACS`] multiply-adds spread their row panels across
+//! threads via the `parallel` crate; smaller ones, where spawning would
+//! cost more than it saves, run on the calling thread.
 //!
 //! # Determinism
 //!
 //! Every output element is accumulated by one sequential `k`-loop inside
-//! one band-kernel invocation, and panel boundaries depend only on the
-//! operand shapes — never on the thread count. Results are therefore
-//! byte-identical under `VITAL_THREADS=1` and `VITAL_THREADS=N` (the
-//! property tests in `tests/proptest_gemm.rs` enforce this). Across
-//! dispatch levels the GEMM inherits the simd crate's contract: the
-//! scalar and AVX2 tiles run the identical unfused multiply-then-add
-//! chain per output element, so `VITAL_SIMD=scalar` and `=avx2` are
+//! one band-kernel invocation, starting from `+0.0` with an unfused
+//! multiply-then-add per step, and panel boundaries depend only on the
+//! operand shapes — never on the thread count or the split cutoff.
+//! Results are therefore byte-identical under `VITAL_THREADS=1` and
+//! `VITAL_THREADS=N` (the property tests in `tests/proptest_gemm.rs`
+//! enforce this). Across dispatch levels the GEMM inherits the simd
+//! crate's contract: the scalar and AVX2 tiles run the identical chain
+//! per output element, so `VITAL_SIMD=scalar` and `=avx2` are
 //! **bit-identical on every input** (`tests/proptest_gemm_dispatch.rs`),
 //! while the opt-in FMA tile is only ULP-bounded.
+
+use std::cell::Cell;
+use std::thread::LocalKey;
+
+use simd::gemm::{gemm_band_at, PanelsB};
 
 use crate::{Result, Tensor, TensorError};
 
@@ -77,86 +92,109 @@ enum Layout {
     Transposed,
 }
 
-/// Packs rows `[row0, row0 + rows)` of the `m × k` operand `op(A)` into
-/// `mr`-padded panel order: one panel per `mr` rows, each storing `k`
-/// groups of `mr` consecutive row values (zero-padded past `rows`), so
-/// the band kernel reads A with unit stride. `mr` comes from the active
-/// dispatch level's tile dims at runtime.
-fn pack_a_band(
+thread_local! {
+    /// This thread's packed-B buffer, reused across products.
+    static PACKED_B: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// This thread's packed A-panel buffer, reused across panels and
+    /// products.
+    static PACKED_A: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on the first `len` elements of a thread-local pack buffer,
+/// growing it on first use and handing it back afterwards, so a warm
+/// product on this thread packs without touching the heap. The contents
+/// are stale on entry: the pack routines overwrite every element the band
+/// kernel reads.
+fn with_pack_buffer<R>(
+    key: &'static LocalKey<Cell<Vec<f32>>>,
+    len: usize,
+    f: impl FnOnce(&mut [f32]) -> R,
+) -> R {
+    let mut buf = key.take();
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    let result = f(&mut buf[..len]);
+    key.set(buf);
+    result
+}
+
+/// Packs rows `[row0, row0 + rows)` (`rows ≤ mr`) of the `m × k` operand
+/// `op(A)` into one `mr`-row panel: `k` groups of `mr` consecutive row
+/// values, zero-padded past `rows`, so the band kernel reads A with unit
+/// stride. `mr` comes from the active dispatch level's tile dims at
+/// runtime; `dst` holds exactly `k · mr` values.
+fn pack_a_panel(
     data: &[f32],
     layout: Layout,
     stride: usize,
-    k: usize,
     row0: usize,
     rows: usize,
     mr: usize,
-) -> Vec<f32> {
-    let panels = rows.div_ceil(mr);
-    let mut packed = vec![0.0f32; panels * k * mr];
-    for panel in 0..panels {
-        let base_row = row0 + panel * mr;
-        let live = mr.min(row0 + rows - base_row);
-        let dst_panel = &mut packed[panel * k * mr..(panel + 1) * k * mr];
-        for p in 0..k {
-            let dst = &mut dst_panel[p * mr..p * mr + live];
-            match layout {
-                Layout::Normal => {
-                    for (i, d) in dst.iter_mut().enumerate() {
-                        *d = data[(base_row + i) * stride + p];
-                    }
-                }
-                Layout::Transposed => {
-                    let src = &data[p * stride + base_row..p * stride + base_row + live];
-                    dst.copy_from_slice(src);
+    dst: &mut [f32],
+) {
+    if rows < mr {
+        dst.fill(0.0);
+    }
+    let k = dst.len() / mr;
+    match layout {
+        // Row `i` of `op(A)` is contiguous: scatter it down lane `i`.
+        Layout::Normal => {
+            for i in 0..rows {
+                let src = &data[(row0 + i) * stride..(row0 + i) * stride + k];
+                for (group, &v) in dst.chunks_exact_mut(mr).zip(src) {
+                    group[i] = v;
                 }
             }
         }
+        Layout::Transposed => {
+            for (p, group) in dst.chunks_exact_mut(mr).enumerate() {
+                group[..rows].copy_from_slice(&data[p * stride + row0..p * stride + row0 + rows]);
+            }
+        }
     }
-    packed
 }
 
-/// Packs the full `k × n` operand `op(B)` into `nr`-padded panel order:
-/// one panel per `nr` columns, each storing `k` groups of `nr` consecutive
-/// column values (zero-padded past `n`).
-fn pack_b(data: &[f32], layout: Layout, stride: usize, k: usize, n: usize, nr: usize) -> Vec<f32> {
-    let panels = n.div_ceil(nr);
-    let mut packed = vec![0.0f32; panels * k * nr];
-    for panel in 0..panels {
+/// Packs `op(B) = Bᵀ` (`k × n`, stored as `n × k` with row stride
+/// `stride`) into panel order: one panel per `nr` columns, each storing `k`
+/// groups of `nr` consecutive column values. Column `j` of `op(B)` is a
+/// contiguous stored row, scattered down lane `j`. The ragged last panel's
+/// lanes past `n` are left as they are: the band kernel never reads them.
+/// `dst` holds exactly `⌈n / nr⌉ · k · nr` values.
+fn pack_b_transposed(data: &[f32], stride: usize, k: usize, n: usize, nr: usize, dst: &mut [f32]) {
+    for (panel, dst_panel) in dst.chunks_exact_mut(k * nr).enumerate() {
         let base_col = panel * nr;
-        let live = nr.min(n - base_col);
-        let dst_panel = &mut packed[panel * k * nr..(panel + 1) * k * nr];
-        for p in 0..k {
-            let dst = &mut dst_panel[p * nr..p * nr + live];
-            match layout {
-                Layout::Normal => {
-                    let src = &data[p * stride + base_col..p * stride + base_col + live];
-                    dst.copy_from_slice(src);
-                }
-                Layout::Transposed => {
-                    for (j, d) in dst.iter_mut().enumerate() {
-                        *d = data[(base_col + j) * stride + p];
-                    }
-                }
+        for j in 0..nr.min(n - base_col) {
+            let src = &data[(base_col + j) * stride..(base_col + j) * stride + k];
+            for (group, &v) in dst_panel.chunks_exact_mut(nr).zip(src) {
+                group[j] = v;
             }
         }
     }
-    packed
 }
+
+/// Products of fewer multiply-adds (`m · k · n`) than this run their row
+/// panels on the calling thread; larger ones split them across threads.
+/// Exported so tests can pick shapes on both sides of it.
+///
+/// `parallel::parallel_chunks_mut` spawns and joins OS threads for every
+/// region: 50–75 µs per two-thread region, measured on a 2-vCPU x86-64
+/// VM. One thread of the AVX2 band kernel retires 20–27 G multiply-adds/s
+/// at model shapes (40–55 GFLOP/s), so a region costs as much as 1–2 M
+/// multiply-adds of work. Splitting over two threads saves at most half
+/// the product, so it can only pay once half the product exceeds the
+/// region: 2–4 M multiply-adds. Measured on the same VM (`m × 80 × 80`
+/// products), the split lost or broke even at 2²¹ (0.76–1.04×) and first
+/// won consistently at 2²² (1.39–1.44×), so the cutoff sits there. Below
+/// it every split loses: VITAL's attention products, its classification
+/// head and every single-observation query are far below; the batched
+/// patch embedding and projections still split. The cutoff only chooses
+/// *where* panels run, never how they are cut, so results are
+/// bit-identical on both sides of it.
+pub const PARALLEL_MIN_MACS: usize = 1 << 22;
 
 /// Packed GEMM over raw row-major buffers: `out = op(A) · op(B)` with
 /// `op(A)` of shape `m × k` and `op(B)` of shape `k × n`.
-///
-/// B is packed once and shared read-only; the output is split into MR-row
-/// panels which are distributed across threads, each worker packing its own
-/// band of A.
-/// Products whose `k × n` working set is below this skip packing entirely:
-/// at attention-head scale the pack/alloc overhead outweighs the tiled
-/// kernel. The trigger deliberately ignores `m`, so a stacked batch takes
-/// the same path (and accumulates in the same order) as its individual
-/// samples — the batched-equals-single bit-exactness guarantee depends on
-/// this.
-const SMALL_KN: usize = 4096;
-
 fn gemm(
     m: usize,
     k: usize,
@@ -170,9 +208,19 @@ fn gemm(
 }
 
 /// The packed GEMM writing into a caller-provided `m · n` buffer — the
-/// allocation-free core that both [`gemm`] and the graph executor's
-/// arena-slot path share. The buffer is fully overwritten (zeroed first
-/// where the kernel accumulates), so stale contents never leak through.
+/// one GEMM path that [`gemm`], the autograd tape and the graph
+/// executor's arena-slot steps all share. The buffer is fully
+/// overwritten, so stale contents never leak through.
+///
+/// The output is split into MR-row panels; each panel packs its band of A
+/// into the pack buffer of the thread that runs it and multiplies it by every
+/// NR-column panel of B. A row-major B is read in place: its panel rows
+/// are already contiguous, and at model shapes the strided reads cost no
+/// more than a packing copy would (a single-observation product reads B
+/// only once, so there packing would double the traffic). A transposed
+/// B is packed once into this thread's pack buffer and shared read-only.
+/// Panel boundaries depend only on the shape, and products below
+/// [`PARALLEL_MIN_MACS`] run every panel on the calling thread.
 ///
 /// `level` selects the band microkernel (and with it the packing tile
 /// dims) at runtime; requests above the CPU's capability clamp down
@@ -187,60 +235,44 @@ fn gemm_into(
     out: &mut [f32],
 ) {
     debug_assert_eq!(out.len(), m * n, "gemm output buffer size");
-    out.fill(0.0);
     if m == 0 || n == 0 || k == 0 {
+        out.fill(0.0);
         return;
     }
-    let (b_data, b_layout, b_stride) = b;
     let (a_data, a_layout, a_stride) = a;
-    if k * n <= SMALL_KN {
-        // Unpacked fast path. Rows are independent and every output element
-        // accumulates over `p` in order, so results don't depend on the
-        // thread count here either.
-        for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
-            match b_layout {
-                // Row-major B: broadcast a(i,p) across B's contiguous row p
-                // (the inner j-loop vectorizes).
-                Layout::Normal => {
-                    for p in 0..k {
-                        let av = match a_layout {
-                            Layout::Normal => a_data[i * a_stride + p],
-                            Layout::Transposed => a_data[p * a_stride + i],
-                        };
-                        let b_row = &b_data[p * b_stride..p * b_stride + n];
-                        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-                // Bᵀ: rows of the stored matrix are contiguous over `p`, so
-                // each output element is a contiguous dot product.
-                Layout::Transposed => {
-                    for (j, o) in out_row.iter_mut().enumerate() {
-                        let b_row = &b_data[j * b_stride..j * b_stride + k];
-                        let mut acc = 0.0f32;
-                        for (p, &bv) in b_row.iter().enumerate() {
-                            let av = match a_layout {
-                                Layout::Normal => a_data[i * a_stride + p],
-                                Layout::Transposed => a_data[p * a_stride + i],
-                            };
-                            acc += av * bv;
-                        }
-                        *o = acc;
-                    }
-                }
-            }
-        }
-        return;
-    }
+    let (b_data, b_layout, b_stride) = b;
     let (mr, nr) = simd::gemm::tile_dims(level);
-    let packed_b = pack_b(b_data, b_layout, b_stride, k, n, nr);
-    parallel::parallel_chunks_mut(out, mr * n, |panel_idx, out_band| {
-        let row0 = panel_idx * mr;
-        let rows = out_band.len() / n;
-        let a_panel = pack_a_band(a_data, a_layout, a_stride, k, row0, rows, mr);
-        simd::gemm::gemm_band_at(level, &a_panel, &packed_b, k, n, rows, out_band);
-    });
+    let mut run = |b_panels: PanelsB<'_>| {
+        let band = |panel_idx: usize, out_band: &mut [f32]| {
+            let rows = out_band.len() / n;
+            with_pack_buffer(&PACKED_A, k * mr, |a_panel| {
+                pack_a_panel(
+                    a_data,
+                    a_layout,
+                    a_stride,
+                    panel_idx * mr,
+                    rows,
+                    mr,
+                    a_panel,
+                );
+                gemm_band_at(level, a_panel, b_panels, n, rows, out_band);
+            });
+        };
+        if m * k * n < PARALLEL_MIN_MACS {
+            for (panel_idx, out_band) in out.chunks_mut(mr * n).enumerate() {
+                band(panel_idx, out_band);
+            }
+        } else {
+            parallel::parallel_chunks_mut(out, mr * n, band);
+        }
+    };
+    match b_layout {
+        Layout::Normal => run(PanelsB::row_major(level, b_data, b_stride)),
+        Layout::Transposed => with_pack_buffer(&PACKED_B, n.div_ceil(nr) * k * nr, |packed_b| {
+            pack_b_transposed(b_data, b_stride, k, n, nr, packed_b);
+            run(PanelsB::packed(level, packed_b, k));
+        }),
+    }
 }
 
 /// Packed GEMM over raw row-major slices into a caller-provided buffer:
@@ -248,9 +280,11 @@ fn gemm_into(
 /// `k × n` per `spec`.
 ///
 /// This is the graph executor's entry point: it lets a compiled plan run
-/// matmuls directly between arena slots with zero allocations (beyond the
-/// kernel's internal pack buffers) while accumulating in exactly the order
-/// the [`Tensor::matmul_ex`] family does, preserving bit-identical results.
+/// matmuls directly between arena slots while accumulating in exactly the
+/// order the [`Tensor::matmul_ex`] family does, preserving bit-identical
+/// results. Products below [`PARALLEL_MIN_MACS`] (or at one thread) make
+/// zero heap allocations once the calling thread's pack buffers have
+/// grown to the shape (`tests/gemm_alloc.rs` pins this).
 ///
 /// Operand slices are stored row-major *before* the transpose is applied:
 /// with `trans_a` set, `a` holds a `k × m` matrix; with `trans_b` set, `b`
@@ -572,17 +606,20 @@ mod tests {
 
     #[test]
     fn packed_kernel_matches_naive_across_panel_boundaries() {
-        // Sizes straddle the MR/NR panel edges, and the last two cross
-        // SMALL_KN into the packed kernel (including its padded edge
-        // panels).
+        // Sizes straddle the MR/NR panel edges and the single-row-panel
+        // boundary at both tile heights (7 > 6 > 4), and the last one
+        // crosses PARALLEL_MIN_MACS into the threaded split.
+        let tall = PARALLEL_MIN_MACS.div_ceil(64 * 65);
         for &(m, k, n) in &[
             (1, 1, 1),
             (4, 8, 8),
             (5, 3, 9),
+            (7, 17, 23),
             (13, 17, 23),
             (70, 65, 33),
             (70, 65, 70),
             (33, 130, 65),
+            (tall, 64, 65),
         ] {
             let a_data: Vec<f32> = (0..m * k).map(|i| ((i % 13) as f32) - 6.0).collect();
             let b_data: Vec<f32> = (0..k * n).map(|i| ((i % 7) as f32) * 0.5 - 1.5).collect();
@@ -607,15 +644,115 @@ mod tests {
 
     #[test]
     fn thread_counts_are_byte_identical() {
-        // k·n on both sides of SMALL_KN, so the unpacked fast path AND the
-        // packed parallel kernel are each held to the bit-identity contract.
-        for (m, k, n) in [(37, 29, 31), (70, 67, 96)] {
+        // One product far below PARALLEL_MIN_MACS and two one row apart
+        // across it, so the serial panel loop AND the threaded split are
+        // each held to the bit-identity contract.
+        let tall = PARALLEL_MIN_MACS.div_ceil(67 * 96);
+        for (m, k, n) in [(37, 29, 31), (tall - 1, 67, 96), (tall, 67, 96)] {
             let a = crate::rng::SeededRng::new(1).uniform_tensor(&[m, k], -1.0, 1.0);
             let b = crate::rng::SeededRng::new(2).uniform_tensor(&[k, n], -1.0, 1.0);
             let single = parallel::with_threads(1, || a.matmul(&b).unwrap());
             for threads in [2, 3, 8] {
                 let multi = parallel::with_threads(threads, || a.matmul(&b).unwrap());
                 assert_eq!(single, multi, "threads={threads} ({m}x{k}x{n})");
+            }
+        }
+    }
+
+    /// `op(A) · op(B)` as one `acc += a·b` chain per element in f32,
+    /// sequential in `k` from `+0.0`: the exact sequence of IEEE roundings
+    /// the band kernels promise at the scalar and AVX2 levels.
+    fn sequential_chain(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        spec: MatmulSpec,
+    ) -> Vec<f32> {
+        let a_at = |i: usize, p: usize| {
+            if spec.trans_a {
+                a[p * m + i]
+            } else {
+                a[i * k + p]
+            }
+        };
+        let b_at = |p: usize, j: usize| {
+            if spec.trans_b {
+                b[j * k + p]
+            } else {
+                b[p * n + j]
+            }
+        };
+        (0..m * n)
+            .map(|idx| {
+                let (i, j) = (idx / n, idx % n);
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a_at(i, p) * b_at(p, j);
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// Seeded operand values with `-0.0` and subnormal-scale entries mixed
+    /// in, so signed zeros and gradual underflow go through every chain.
+    fn chain_operand(len: usize, seed: u64) -> Vec<f32> {
+        let mut values = crate::rng::SeededRng::new(seed)
+            .uniform_tensor(&[len], -2.0, 2.0)
+            .into_vec();
+        for (idx, v) in values.iter_mut().enumerate() {
+            if idx % 7 == 3 {
+                *v = -0.0;
+            } else if idx % 11 == 5 {
+                *v *= 1e-39;
+            }
+        }
+        values
+    }
+
+    #[test]
+    fn every_spec_matches_the_sequential_f32_chain_bit_for_bit() {
+        let specs = [
+            MatmulSpec::NN,
+            MatmulSpec::TN,
+            MatmulSpec::NT,
+            MatmulSpec::TT,
+        ];
+        for level in [simd::Level::Scalar, simd::Level::Avx2] {
+            let mr = simd::gemm::tile_dims(level).0;
+            let mut shapes = Vec::new();
+            for m in [1, mr - 1, mr, mr + 1] {
+                for k in [1, 16, 100] {
+                    for n in [1, 15, 16, 17, 63, 100] {
+                        shapes.push((m, k, n));
+                    }
+                }
+            }
+            // One row apart across the split cutoff at k = n = 100.
+            let tall = PARALLEL_MIN_MACS.div_ceil(100 * 100);
+            shapes.extend([(tall - 1, 100, 100), (tall, 100, 100)]);
+            for (m, k, n) in shapes {
+                let a = chain_operand(m * k, (m * 1_000 + k) as u64);
+                let b = chain_operand(k * n, (n * 1_000 + k + 7) as u64);
+                for spec in specs {
+                    let want = sequential_chain(m, k, n, &a, &b, spec);
+                    for threads in [1, 2, 8] {
+                        let mut got = vec![f32::NAN; m * n];
+                        parallel::with_threads(threads, || {
+                            gemm_ex_into_at(level, m, k, n, &a, &b, spec, &mut got);
+                        });
+                        for (idx, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert!(
+                                g.to_bits() == w.to_bits(),
+                                "{} {spec:?} {m}x{k}x{n} threads={threads} [{idx}]: \
+                                 {g:?} vs chain {w:?}",
+                                level.name()
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,7 +1,9 @@
 //! Property-based checks of the packed, data-parallel GEMM: every transpose
 //! variant, at 1, 2 and N worker threads, over sizes that straddle the
-//! MR/NR panel boundaries and the small-product fast path, must match a
-//! naive triple-loop reference to 1e-4.
+//! MR/NR panel boundaries, the single-row-panel boundary and the
+//! threaded-split cutoff (`tensor::PARALLEL_MIN_MACS`), must match a naive
+//! triple-loop reference to 1e-4 and never change bits with the thread
+//! count.
 
 use proptest::prelude::*;
 use tensor::rng::SeededRng;
@@ -63,18 +65,27 @@ fn assert_matches_naive(
     Ok(())
 }
 
-/// Small sizes straddling the microkernel panel boundaries; with `k·n` at
-/// most 39 × 39 = 1521 these always exercise the unpacked small-product
-/// fast path.
+/// Small sizes straddling the microkernel panel boundaries, one-panel and
+/// multi-panel alike; at most 39³ ≈ 59k multiply-adds, far below the split
+/// cutoff, so every panel runs on the calling thread.
 fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..40, 1usize..40, 1usize..40)
 }
 
-/// Sizes whose `k·n` product spans roughly 2.3k–10k, straddling the
-/// `SMALL_KN = 4096` fast-path cutoff from both sides so the packed,
-/// parallel kernel (including padded edge panels) is exercised too.
+/// Heights from one row to four panels, straddling the single-row-panel
+/// boundary (`m ≤ MR`) at both tile heights (4 and 6), against a B that is
+/// several `NR` panels wide with a ragged last panel.
 fn dims_packed() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..24, 48usize..80, 48usize..128)
+}
+
+/// Sizes within a few rows of the split cutoff, from both sides: the
+/// serial panel loop and the threaded split must produce the same bits.
+fn dims_split() -> impl Strategy<Value = (usize, usize, usize)> {
+    (48usize..80, 48usize..128, 0usize..8).prop_map(|(k, n, off)| {
+        let m = tensor::PARALLEL_MIN_MACS / (k * n) + off - 3;
+        (m, k, n)
+    })
 }
 
 proptest! {
@@ -140,7 +151,7 @@ proptest! {
 
     #[test]
     fn thread_count_never_changes_the_bits(
-        (m, k, n) in dims_packed(),
+        (m, k, n) in dims_split(),
         seed in 0u64..10_000,
     ) {
         let mut rng = SeededRng::new(seed);
@@ -169,8 +180,9 @@ proptest! {
 }
 
 /// Sizes chosen to land exactly on, one short of, and one past the panel
-/// edges for every tile configuration the kernel ships with; the k = 64/65
-/// × n = 65..129 corner crosses `SMALL_KN` into the packed kernel.
+/// edges for every tile configuration the kernel ships with (MR 4 and 6,
+/// NR 8 and 16), including one-row products and B widths below one
+/// panel.
 #[test]
 fn exhaustive_panel_boundary_sweep() {
     for &m in &[1, 3, 4, 5, 6, 7, 8, 12, 13, 16, 17] {

@@ -6,7 +6,8 @@
 //! changes register blocking, never within-chain order), so the two levels
 //! must agree **bit-for-bit** on every input, every transpose variant,
 //! every thread count, and every size — including panel edges at MR/NR
-//! multiples ± 1 and both sides of the small-product fast-path cutoff.
+//! multiples ± 1, one-row products and both sides of the threaded-split
+//! cutoff (`tensor::PARALLEL_MIN_MACS`).
 //! The opt-in `Fma` tile contracts each multiply–add into a single
 //! rounding, so it is only ULP-bounded against scalar.
 //!
@@ -55,14 +56,14 @@ fn around_multiple(base: usize, t: usize, off: i64) -> usize {
 }
 
 /// Sizes that straddle the panel edges of every tile the kernel ships
-/// with (MR ∈ {4, 6, 8}, NR = 8) and cross the small-product cutoff
-/// (`k·n ≤ 4096` stays on the unpacked fast path) from both sides.
+/// with (MR ∈ {4, 6}, NR ∈ {8, 16}), from one-row products (a single,
+/// partly live row panel) to several full panels.
 fn dims() -> impl Strategy<Value = (usize, usize, usize, u64)> {
     (
         // m around MR·t ± 1: candidates 4..8 cover every level's tile height
         (4usize..=8, 1usize..4, -1i64..=1),
-        // k up to 95 and n around 8·t ± 1 (t < 18): k·n spans both sides
-        // of the 4096 small-product cutoff
+        // k up to 95 and n around 8·t ± 1 (t < 18): one to nine panels of
+        // either width, ragged last panels included
         (1usize..96, 1usize..18, -1i64..=1),
         0u64..10_000,
     )
@@ -101,7 +102,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Scalar ≡ AVX2, bit-for-bit: all four transpose variants, panel-edge
-    /// sizes on both sides of the fast-path cutoff, 1 and 4 worker threads.
+    /// sizes, 1 and 4 worker threads.
     #[test]
     fn scalar_and_avx2_dispatch_are_bit_identical(
         (m, k, n, seed) in dims(),
@@ -166,19 +167,33 @@ proptest! {
 }
 
 /// Deterministic sweep pinning exact MR/NR-multiple ± 1 corners for every
-/// tile height the kernel ships with, crossing the small-product cutoff.
+/// tile height the kernel ships with, from one-row products up, plus two
+/// products one row apart across the threaded-split cutoff run at two
+/// threads.
 #[test]
 fn exhaustive_cross_level_boundary_sweep() {
     let best = simd::detected_level().min(Level::Avx2);
+    let mut shapes = Vec::new();
     for &m in &[1, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 23, 24, 25] {
         for &(k, n) in &[(17, 8), (31, 33), (64, 63), (64, 65), (65, 129)] {
-            let (a, b) = inputs(m, k, n, (m * 1_000 + k * 10 + n) as u64, -1.0, 1.0);
-            let scalar = run_at(Level::Scalar, m, k, n, &a, &b, MatmulSpec::NN);
-            let vector = run_at(best, m, k, n, &a, &b, MatmulSpec::NN);
+            shapes.push((m, k, n));
+        }
+    }
+    let tall = tensor::PARALLEL_MIN_MACS.div_ceil(64 * 65);
+    shapes.extend([(tall - 1, 64, 65), (tall, 64, 65)]);
+    for (m, k, n) in shapes {
+        let (a, b) = inputs(m, k, n, (m * 1_000 + k * 10 + n) as u64, -1.0, 1.0);
+        for spec in [MatmulSpec::NN, MatmulSpec::NT] {
+            let (scalar, vector) = parallel::with_threads(2, || {
+                (
+                    run_at(Level::Scalar, m, k, n, &a, &b, spec),
+                    run_at(best, m, k, n, &a, &b, spec),
+                )
+            });
             for (idx, (s, v)) in scalar.iter().zip(&vector).enumerate() {
                 assert!(
                     s.to_bits() == v.to_bits(),
-                    "({m}x{k}x{n})[{idx}]: scalar {s:?} vs {} {v:?}",
+                    "{spec:?} ({m}x{k}x{n})[{idx}]: scalar {s:?} vs {} {v:?}",
                     best.name()
                 );
             }
