@@ -11,7 +11,7 @@
 
 use std::path::Path;
 
-use autograd::{Tape, Var};
+use autograd::Tape;
 use fingerprint::{FingerprintDataset, FingerprintObservation};
 use graph::{ExprId, Graph, GraphError, PlanCache};
 use nn::optim::{zero_grads, Adam, Optimizer};
@@ -59,40 +59,64 @@ impl AnvilNetwork {
         Ok(Tensor::from_vec(padded, &[TOKENS, self.token_width])?)
     }
 
-    /// Returns `(pooled_embedding, class_logits)` for one sample.
-    fn forward_sample<'t>(
-        &self,
-        session: &Session<'t>,
-        features: &[f32],
-    ) -> Result<(Var<'t>, Var<'t>)> {
-        let tokens = session.constant(self.tokenize(features)?);
-        let embedded = self.token_embed.forward(session, tokens)?;
-        let attended = self
-            .attention
-            .forward(session, self.norm.forward(session, embedded)?)?
-            .add(embedded)?;
-        let pooled = attended.mean_pool_rows()?;
-        let embedding = self.embed_head.forward(session, pooled)?;
-        let logits = self.head.forward(session, pooled)?;
-        Ok((embedding, logits))
-    }
-
-    /// Appends one sample's forward pass to an expression graph, packing
-    /// the two heads into a single `[1, embed ‖ classes]` output row —
-    /// exactly mirroring the eval-mode [`AnvilNetwork::forward_sample`].
-    fn push_graph_sample(
+    /// Appends one sample's forward pass to an expression graph: token
+    /// embedding, layer-normed self-attention plus residual, mean pooling
+    /// over the tokens, then the embedding and classifier heads. Returns
+    /// `(embedding, class_logits)`.
+    fn push_graph(
         &self,
         g: &mut Graph,
         tokens: ExprId,
-    ) -> std::result::Result<ExprId, GraphError> {
+    ) -> std::result::Result<(ExprId, ExprId), GraphError> {
         let embedded = self.token_embed.push_graph(g, tokens)?;
         let normed = self.norm.push_graph(g, embedded)?;
-        let attn = self.attention.push_graph(g, normed)?;
+        let attn = self.attention.push_graph(g, normed, 1)?;
         let attended = g.binary(attn, embedded, tensor::BinaryOp::Add)?;
         let pooled = g.mean_row_blocks(attended, TOKENS)?;
         let embedding = self.embed_head.push_graph(g, pooled)?;
         let logits = self.head.push_graph(g, pooled)?;
-        g.concat_cols(&[embedding, logits])
+        Ok((embedding, logits))
+    }
+
+    /// The inference graph over `samples` stacked token matrices: one
+    /// `[embedding ‖ logits]` row per sample.
+    ///
+    /// Attention couples each sample's tokens, so the graph unrolls one
+    /// forward per sample over row slices of the stacked token input (the
+    /// same stacking the compiled ViT uses); the shared weight constants
+    /// dedup across the unroll.
+    fn graph(&self, samples: usize) -> std::result::Result<(Graph, ExprId), GraphError> {
+        let mut g = Graph::new();
+        let input = g.input(samples * TOKENS, self.token_width);
+        let mut rows = Vec::with_capacity(samples);
+        for s in 0..samples {
+            let tokens = if samples == 1 {
+                input
+            } else {
+                g.slice_rows(input, s * TOKENS, (s + 1) * TOKENS)?
+            };
+            let (embedding, logits) = self.push_graph(&mut g, tokens)?;
+            rows.push(g.concat_cols(&[embedding, logits])?);
+        }
+        let out = if samples == 1 {
+            rows[0]
+        } else {
+            g.concat_rows(&rows)?
+        };
+        Ok((g, out))
+    }
+
+    /// Tokenizes and stacks a batch of feature vectors into the
+    /// `[samples * TOKENS, token_width]` input of [`AnvilNetwork::graph`].
+    fn stack_tokens(&self, features: &[Vec<f32>]) -> Result<Tensor> {
+        let mut stacked = Vec::with_capacity(features.len() * TOKENS * self.token_width);
+        for f in features {
+            stacked.extend(self.tokenize(f)?.into_vec());
+        }
+        Ok(Tensor::from_vec(
+            stacked,
+            &[features.len() * TOKENS, self.token_width],
+        )?)
     }
 }
 
@@ -245,52 +269,31 @@ impl AnvilLocalizer {
         Ok(anvil)
     }
 
-    fn embed(&self, features: &[f32]) -> Result<(Vec<f32>, Vec<f32>)> {
-        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let (embedding, logits) = network.forward_sample(&session, features)?;
-        Ok((embedding.value().into_vec(), logits.value().into_vec()))
-    }
-
     /// Embeddings and logits for a batch of feature vectors through the
     /// cached compiled plan: one `[embedding ‖ logits]` row per sample.
-    ///
-    /// Attention couples each sample's tokens, so the graph unrolls one
-    /// forward per sample over row slices of the stacked token input (the
-    /// same stacking the compiled ViT uses); the shared weight constants
-    /// dedup across the unroll.
     fn embed_matrix(&self, features: &[Vec<f32>]) -> Result<Tensor> {
         let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
         let samples = features.len();
-        let width = network.token_width;
-        let mut stacked = Vec::with_capacity(samples * TOKENS * width);
-        for f in features {
-            stacked.extend(network.tokenize(f)?.into_vec());
-        }
-        let x = Tensor::from_vec(stacked, &[samples * TOKENS, width])?;
+        let x = network.stack_tokens(features)?;
         let entry =
             self.plan_cache
                 .get_or_build(samples, nn::weight_stamp(&network.params()), || {
-                    let mut g = Graph::new();
-                    let input = g.input(samples * TOKENS, width);
-                    let mut rows = Vec::with_capacity(samples);
-                    for s in 0..samples {
-                        let tokens = if samples == 1 {
-                            input
-                        } else {
-                            g.slice_rows(input, s * TOKENS, (s + 1) * TOKENS)?
-                        };
-                        rows.push(network.push_graph_sample(&mut g, tokens)?);
-                    }
-                    let out = if samples == 1 {
-                        rows[0]
-                    } else {
-                        g.concat_rows(&rows)?
-                    };
-                    Ok((g, out))
+                    network.graph(samples)
                 })?;
         Ok(entry.execute(&[&x])?)
+    }
+
+    /// Splits packed `[embedding ‖ logits]` rows and matches each.
+    fn match_rows(&self, packed: &Tensor) -> Result<Vec<usize>> {
+        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
+        let embed_width = network.embed_head.out_features();
+        let row_width = packed.cols()?;
+        let mut predictions = Vec::with_capacity(packed.rows()?);
+        for row in packed.as_slice().chunks_exact(row_width) {
+            let (embedding, logits) = row.split_at(embed_width);
+            predictions.push(self.match_embedding(embedding, logits)?);
+        }
+        Ok(predictions)
     }
 
     /// Number of compiled network plans currently cached (one per batch
@@ -299,8 +302,9 @@ impl AnvilLocalizer {
         self.plan_cache.len()
     }
 
-    /// [`Localizer::localize_batch`] through the eager (tape) forward — the
-    /// uncompiled reference the parity tests compare against.
+    /// [`Localizer::localize_batch`] with the network graph replayed op
+    /// by op on a tape — the uncompiled reference the parity tests compare
+    /// against.
     ///
     /// # Errors
     /// Returns [`VitalError::NotFitted`] before [`Localizer::fit`].
@@ -311,17 +315,9 @@ impl AnvilLocalizer {
         let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
         let mut predictions = Vec::with_capacity(observations.len());
         for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
-            let tape = Tape::new();
-            let session = Session::new(&tape, false, 0);
-            for features in self.extractor.extract_clean_batch(chunk) {
-                let (embedding, logits) = network.forward_sample(&session, &features)?;
-                predictions.push(
-                    self.match_embedding(
-                        &embedding.value().into_vec(),
-                        &logits.value().into_vec(),
-                    )?,
-                );
-            }
+            let x = network.stack_tokens(&self.extractor.extract_clean_batch(chunk))?;
+            let (g, out) = network.graph(chunk.len())?;
+            predictions.extend(self.match_rows(&nn::interpret_eval(&g, &[&x], out)?)?);
         }
         Ok(predictions)
     }
@@ -375,37 +371,46 @@ impl Localizer for AnvilLocalizer {
         for epoch in 0..self.epochs {
             rng.shuffle(&mut order);
             for chunk in order.chunks(batch) {
-                let tape = Tape::new();
-                let session = Session::new(&tape, true, self.seed.wrapping_add(epoch as u64));
+                let mut g = Graph::new();
+                let mut tokens = Vec::with_capacity(chunk.len());
                 let mut logits = Vec::with_capacity(chunk.len());
                 let mut labels = Vec::with_capacity(chunk.len());
                 for &i in chunk {
                     let features = self.extractor.extract(&observations[i], true, &mut rng);
-                    let (_, sample_logits) = network.forward_sample(&session, &features)?;
-                    logits.push(sample_logits);
+                    tokens.push(network.tokenize(&features)?);
+                    let input = g.input(TOKENS, network.token_width);
+                    logits.push(network.push_graph(&mut g, input)?.1);
                     labels.push(observations[i].rp_label);
                 }
-                let stacked = Var::concat_rows(&logits)?;
+                let stacked = g.concat_rows(&logits)?;
+                let tape = Tape::new();
+                let session = Session::new(&tape, true, self.seed.wrapping_add(epoch as u64));
+                let inputs: Vec<&Tensor> = tokens.iter().collect();
+                let stacked = nn::interpret(&session, &g, &inputs, stacked)?;
                 let loss = stacked.softmax_cross_entropy(&labels)?;
                 session.backward(loss)?;
                 optimizer.step(&params);
                 zero_grads(&params);
             }
         }
+        let embed_width = network.embed_head.out_features();
         self.network = Some(network);
 
         // Euclidean-matching stage: per-RP embedding centroids over the clean
-        // training fingerprints.
+        // training fingerprints, each embedded through the cached
+        // single-query plan `predict` serves from.
         let mut sums: Vec<(Vec<f32>, usize)> = vec![(Vec::new(), 0); self.num_classes];
-        let mut clean_rng = SeededRng::new(self.seed.wrapping_add(2));
         for observation in observations {
-            let features = self.extractor.extract(observation, false, &mut clean_rng);
-            let (embedding, _) = self.embed(&features)?;
+            let features = self
+                .extractor
+                .extract_clean_batch(std::slice::from_ref(observation));
+            let packed = self.embed_matrix(&features)?;
+            let embedding = &packed.as_slice()[..embed_width];
             let slot = &mut sums[observation.rp_label];
             if slot.0.is_empty() {
                 slot.0 = vec![0.0; embedding.len()];
             }
-            for (s, e) in slot.0.iter_mut().zip(&embedding) {
+            for (s, e) in slot.0.iter_mut().zip(embedding) {
                 *s += e;
             }
             slot.1 += 1;
@@ -424,26 +429,16 @@ impl Localizer for AnvilLocalizer {
     }
 
     fn predict(&self, observation: &FingerprintObservation) -> Result<usize> {
-        let mut rng = SeededRng::new(0);
-        let features = self.extractor.extract(observation, false, &mut rng);
-        let (embedding, logits) = self.embed(&features)?;
-        self.match_embedding(&embedding, &logits)
+        Ok(self.localize_batch(std::slice::from_ref(observation))?[0])
     }
 
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
-        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        let embed_width = network.embed_head.out_features();
         let mut predictions = Vec::with_capacity(observations.len());
         for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
             // One compiled execution per chunk: each output row packs the
             // sample's `[embedding ‖ logits]`, split for Euclidean matching.
-            let features = self.extractor.extract_clean_batch(chunk);
-            let packed = self.embed_matrix(&features)?;
-            let row_width = packed.cols()?;
-            for row in packed.as_slice().chunks_exact(row_width) {
-                let (embedding, logits) = row.split_at(embed_width);
-                predictions.push(self.match_embedding(embedding, logits)?);
-            }
+            let packed = self.embed_matrix(&self.extractor.extract_clean_batch(chunk))?;
+            predictions.extend(self.match_rows(&packed)?);
         }
         Ok(predictions)
     }
@@ -463,6 +458,40 @@ mod tests {
     use fingerprint::{base_devices, DatasetConfig};
     use sim_radio::building_1;
     use vital::evaluate_localizer;
+
+    /// Step, fused-op and slot counts of the compiled plans at batch 1 and
+    /// 32 (20 features, 10 classes), recorded at the commit before the
+    /// forward pass became graph-only: dropout nodes and param bindings
+    /// must leave the served plans unchanged.
+    #[test]
+    fn compiled_plan_sizes_are_pinned() {
+        let network = AnvilNetwork::new(&mut SeededRng::new(1), 20, 10).unwrap();
+        for (batch, counts) in [(1, (38, 14, 15)), (32, (1249, 448, 48))] {
+            let (g, out) = network.graph(batch).unwrap();
+            let plan = graph::Compiler::new().compile(&g, out).unwrap();
+            let got = (plan.step_count(), plan.fused_op_count(), plan.slot_count());
+            assert_eq!(got, counts, "batch {batch}");
+        }
+    }
+
+    #[test]
+    fn interpreted_graph_reaches_every_param() {
+        // Classification loss plus the embedding head's sum, so both heads
+        // are differentiated.
+        let network = AnvilNetwork::new(&mut SeededRng::new(1), 20, 10).unwrap();
+        let mut g = Graph::new();
+        let tokens = g.input(TOKENS, network.token_width);
+        let (embedding, logits) = network.push_graph(&mut g, tokens).unwrap();
+        let both = g.concat_cols(&[embedding, logits]).unwrap();
+        let x = network.tokenize(&[0.5; 20]).unwrap();
+        let tape = Tape::new();
+        let session = Session::new(&tape, true, 0);
+        let out = nn::interpret(&session, &g, &[&x], both).unwrap();
+        session.backward(out.sum_all().unwrap()).unwrap();
+        for p in network.params() {
+            assert!(p.grad().is_some(), "no gradient for {}", p.name());
+        }
+    }
 
     #[test]
     fn unfitted_errors_and_name() {

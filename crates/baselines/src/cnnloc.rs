@@ -5,7 +5,7 @@ use std::path::Path;
 
 use autograd::Tape;
 use fingerprint::{FingerprintDataset, FingerprintObservation};
-use graph::{Graph, PlanCache};
+use graph::{ExprId, Graph, GraphError, PlanCache};
 use nn::optim::{zero_grads, Adam, Optimizer};
 use nn::{Activation, Conv1d, Layer, Mlp, Param, Session, StackedAutoencoder};
 use tensor::rng::SeededRng;
@@ -13,6 +13,9 @@ use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
 use crate::{FeatureExtractor, FeatureMode};
+
+/// The three fitted CNNLoc stages: SAE, 1-D CNN, classifier.
+type Stages<'a> = (&'a StackedAutoencoder, &'a Conv1d, &'a Mlp);
 
 /// The CNNLoc localizer: SAE encoder + 1-D CNN + MLP classifier.
 #[derive(Debug)]
@@ -87,10 +90,7 @@ impl CnnLocLocalizer {
     /// # Errors
     /// Returns [`VitalError::NotFitted`] before [`Localizer::fit`].
     pub fn to_checkpoint(&self) -> Result<Checkpoint> {
-        let (ae, conv, clf) = match (&self.autoencoder, &self.conv, &self.classifier) {
-            (Some(a), Some(c), Some(m)) => (a, c, m),
-            _ => return Err(VitalError::NotFitted),
-        };
+        let (ae, conv, clf) = self.stages()?;
         let mut ckpt = Checkpoint::new(ModelKind::CnnLoc);
         ckpt.set_dam_config(self.extractor.dam_config());
         ckpt.push_ints("seed", vec![self.seed]);
@@ -159,27 +159,40 @@ impl CnnLocLocalizer {
         params
     }
 
+    /// The fitted stages, or [`VitalError::NotFitted`].
+    fn stages(&self) -> Result<Stages<'_>> {
+        match (&self.autoencoder, &self.conv, &self.classifier) {
+            (Some(a), Some(c), Some(m)) => Ok((a, c, m)),
+            _ => Err(VitalError::NotFitted),
+        }
+    }
+
+    /// The classifier graph over a `[rows, cols]` feature stack: SAE
+    /// encoder → 1-D conv (window slices over one shared dense kernel) →
+    /// ReLU → classifier MLP, producing class logits.
+    fn graph(
+        (ae, conv, classifier): Stages<'_>,
+        rows: usize,
+        cols: usize,
+    ) -> std::result::Result<(Graph, ExprId), GraphError> {
+        let mut g = Graph::new();
+        let x = g.input(rows, cols);
+        let code = ae.encode_push_graph(&mut g, x)?;
+        let conv_out = conv.push_graph(&mut g, code)?;
+        let activated = g.unary(conv_out, tensor::UnaryOp::Relu)?;
+        let logits = classifier.push_graph(&mut g, activated)?;
+        Ok((g, logits))
+    }
+
     /// Class logits for a `[batch, width]` query stack through the cached
-    /// compiled plan: SAE encoder → 1-D conv (window slices over one shared
-    /// dense kernel) → ReLU → classifier MLP, all fused into one arena
-    /// execution. Bit-identical to
-    /// [`CnnLocLocalizer::forward_logits_eager`].
+    /// compiled plan, all stages fused into one arena execution.
     fn forward_logits(&self, features: &Tensor) -> Result<Tensor> {
-        let (ae, conv, classifier) = match (&self.autoencoder, &self.conv, &self.classifier) {
-            (Some(a), Some(c), Some(m)) => (a, c, m),
-            _ => return Err(VitalError::NotFitted),
-        };
+        let stages = self.stages()?;
         let (rows, cols) = features.shape().as_matrix()?;
         let entry = self
             .plan_cache
             .get_or_build(rows, nn::weight_stamp(&self.params()), || {
-                let mut g = Graph::new();
-                let x = g.input(rows, cols);
-                let code = ae.encode_push_graph(&mut g, x)?;
-                let conv_out = conv.push_graph(&mut g, code)?;
-                let activated = g.unary(conv_out, tensor::UnaryOp::Relu)?;
-                let logits = classifier.push_graph(&mut g, activated)?;
-                Ok((g, logits))
+                Self::graph(stages, rows, cols)
             })?;
         Ok(entry.execute(&[features])?)
     }
@@ -190,24 +203,9 @@ impl CnnLocLocalizer {
         self.plan_cache.len()
     }
 
-    /// Tape-based logits — the bit-exactness reference for the compiled
-    /// plan, exercised by the parity tests.
-    fn forward_logits_eager(&self, features: &Tensor) -> Result<Tensor> {
-        let (ae, conv, classifier) = match (&self.autoencoder, &self.conv, &self.classifier) {
-            (Some(a), Some(c), Some(m)) => (a, c, m),
-            _ => return Err(VitalError::NotFitted),
-        };
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let x = session.constant(features.clone());
-        let code = ae.encode(&session, x)?;
-        let conv_out = conv.forward(&session, code)?.relu();
-        let logits = classifier.forward(&session, conv_out)?;
-        Ok(logits.value())
-    }
-
-    /// [`Localizer::localize_batch`] through the eager (tape) forward — the
-    /// uncompiled reference the parity tests compare against.
+    /// [`Localizer::localize_batch`] with the classifier graph replayed op
+    /// by op on a tape — the uncompiled reference the parity tests compare
+    /// against.
     ///
     /// # Errors
     /// Returns [`VitalError::NotFitted`] before [`Localizer::fit`].
@@ -217,9 +215,9 @@ impl CnnLocLocalizer {
     ) -> Result<Vec<usize>> {
         let mut predictions = Vec::with_capacity(observations.len());
         for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
-            let queries = self.extractor.extract_clean_batch(chunk);
-            let logits = self.forward_logits_eager(&crate::features::stack_rows(&queries)?)?;
-            predictions.extend(logits.argmax_rows()?);
+            let x = crate::features::stack_rows(&self.extractor.extract_clean_batch(chunk))?;
+            let (g, logits) = Self::graph(self.stages()?, chunk.len(), x.cols()?)?;
+            predictions.extend(nn::interpret_eval(&g, &[&x], logits)?.argmax_rows()?);
         }
         Ok(predictions)
     }
@@ -268,25 +266,10 @@ impl Localizer for CnnLocLocalizer {
                 let x_batch = Tensor::concat_rows(&refs)?;
                 let y_batch: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
 
+                let (g, logits) = Self::graph(self.stages()?, chunk.len(), width)?;
                 let tape = Tape::new();
                 let session = Session::new(&tape, true, self.seed.wrapping_add(epoch as u64));
-                let x = session.constant(x_batch);
-                let code = self
-                    .autoencoder
-                    .as_ref()
-                    .expect("set above")
-                    .encode(&session, x)?;
-                let conv_out = self
-                    .conv
-                    .as_ref()
-                    .expect("set above")
-                    .forward(&session, code)?
-                    .relu();
-                let logits = self
-                    .classifier
-                    .as_ref()
-                    .expect("set above")
-                    .forward(&session, conv_out)?;
+                let logits = nn::interpret(&session, &g, &[&x_batch], logits)?;
                 let loss = logits.softmax_cross_entropy(&y_batch)?;
                 session.backward(loss)?;
                 optimizer.step(&params);
@@ -331,6 +314,41 @@ mod tests {
     use fingerprint::{base_devices, DatasetConfig};
     use sim_radio::building_1;
     use vital::evaluate_localizer;
+
+    /// Step, fused-op and slot counts of the compiled plans at batch 1 and
+    /// 32 (20 features, 10 classes), recorded at the commit before the
+    /// forward pass became graph-only: dropout nodes and param bindings
+    /// must leave the served plans unchanged.
+    #[test]
+    fn compiled_plan_sizes_are_pinned() {
+        let (ae, conv, clf) =
+            CnnLocLocalizer::build_stages(&mut SeededRng::new(1), 20, 10).unwrap();
+        for batch in [1, 32] {
+            let (g, logits) = CnnLocLocalizer::graph((&ae, &conv, &clf), batch, 20).unwrap();
+            let plan = graph::Compiler::new().compile(&g, logits).unwrap();
+            let got = (plan.step_count(), plan.fused_op_count(), plan.slot_count());
+            assert_eq!(got, (21, 15, 13), "batch {batch}");
+        }
+    }
+
+    #[test]
+    fn interpreted_graph_reaches_every_param() {
+        let (ae, conv, clf) =
+            CnnLocLocalizer::build_stages(&mut SeededRng::new(1), 20, 10).unwrap();
+        let (g, logits) = CnnLocLocalizer::graph((&ae, &conv, &clf), 4, 20).unwrap();
+        let x = SeededRng::new(2).uniform_tensor(&[4, 20], 0.0, 1.0);
+        let tape = Tape::new();
+        let session = Session::new(&tape, true, 3);
+        let logits = nn::interpret(&session, &g, &[&x], logits).unwrap();
+        // The SAE's decoder is trained by pre-training, not by this loss.
+        session
+            .backward(logits.softmax_cross_entropy(&[0, 1, 2, 3]).unwrap())
+            .unwrap();
+        let trained = [ae.params()[..4].to_vec(), conv.params(), clf.params()].concat();
+        for p in trained {
+            assert!(p.grad().is_some(), "no gradient for {}", p.name());
+        }
+    }
 
     #[test]
     fn unfitted_errors_and_name() {

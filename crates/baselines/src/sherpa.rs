@@ -9,7 +9,7 @@ use std::path::Path;
 
 use autograd::Tape;
 use fingerprint::{FingerprintDataset, FingerprintObservation};
-use graph::{Graph, PlanCache};
+use graph::{ExprId, Graph, GraphError, PlanCache};
 use nn::optim::{zero_grads, Adam, Optimizer};
 use nn::{Activation, Layer, Mlp, Session};
 use tensor::rng::SeededRng;
@@ -152,22 +152,31 @@ impl SherpaLocalizer {
         Ok(sherpa)
     }
 
+    /// The DNN graph over a `[rows, cols]` query stack, returning the
+    /// class logits and their row softmax (the posterior).
+    fn graph(
+        network: &Mlp,
+        rows: usize,
+        cols: usize,
+    ) -> std::result::Result<(Graph, ExprId, ExprId), GraphError> {
+        let mut g = Graph::new();
+        let x = g.input(rows, cols);
+        let logits = network.push_graph(&mut g, x)?;
+        let posterior = g.softmax_rows(logits)?;
+        Ok((g, logits, posterior))
+    }
+
     /// DNN posterior for a stack of queries: `[batch, width]` features in,
-    /// `[batch, num_classes]` softmax rows out.
-    ///
-    /// Runs the build-once/execute-many compiled plan (dense → ReLU chain
-    /// fused with the row softmax) keyed by batch size and weight stamp;
-    /// bit-identical to [`SherpaLocalizer::posterior_matrix_eager`].
+    /// `[batch, num_classes]` softmax rows out, through the
+    /// build-once/execute-many compiled plan (dense → ReLU chain fused with
+    /// the row softmax) keyed by batch size and weight stamp.
     fn posterior_matrix(&self, features: &Tensor) -> Result<Tensor> {
         let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
         let (rows, cols) = features.shape().as_matrix()?;
         let entry =
             self.plan_cache
                 .get_or_build(rows, nn::weight_stamp(&network.params()), || {
-                    let mut g = Graph::new();
-                    let x = g.input(rows, cols);
-                    let logits = network.push_graph(&mut g, x)?;
-                    let posterior = g.softmax_rows(logits)?;
+                    let (g, _, posterior) = Self::graph(network, rows, cols)?;
                     Ok((g, posterior))
                 })?;
         Ok(entry.execute(&[features])?)
@@ -179,18 +188,9 @@ impl SherpaLocalizer {
         self.plan_cache.len()
     }
 
-    /// Tape-based posterior — the bit-exactness reference for the compiled
-    /// plan, exercised by the parity tests.
-    fn posterior_matrix_eager(&self, features: &Tensor) -> Result<Tensor> {
-        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let logits = network.forward(&session, session.constant(features.clone()))?;
-        Ok(logits.value().softmax_rows()?)
-    }
-
-    /// [`Localizer::localize_batch`] through the eager (tape) posterior —
-    /// the uncompiled reference the parity tests compare against.
+    /// [`Localizer::localize_batch`] with the DNN graph replayed op by op
+    /// on a tape — the uncompiled reference the parity tests compare
+    /// against.
     ///
     /// # Errors
     /// Returns [`VitalError::NotFitted`] before [`Localizer::fit`].
@@ -198,10 +198,13 @@ impl SherpaLocalizer {
         &self,
         observations: &[FingerprintObservation],
     ) -> Result<Vec<usize>> {
+        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
         let mut predictions = Vec::with_capacity(observations.len());
         for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
             let queries = self.extractor.extract_clean_batch(chunk);
-            let posterior = self.posterior_matrix_eager(&crate::features::stack_rows(&queries)?)?;
+            let x = crate::features::stack_rows(&queries)?;
+            let (g, _, posterior) = Self::graph(network, chunk.len(), x.cols()?)?;
+            let posterior = nn::interpret_eval(&g, &[&x], posterior)?;
             for (i, query) in queries.iter().enumerate() {
                 predictions.push(self.refine(query, posterior.row(i)?.as_slice())?);
             }
@@ -284,9 +287,10 @@ impl Localizer for SherpaLocalizer {
                 let refs: Vec<&Tensor> = rows.iter().collect();
                 let x_batch = Tensor::concat_rows(&refs)?;
                 let y_batch: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
+                let (g, logits, _) = Self::graph(&network, chunk.len(), width)?;
                 let tape = Tape::new();
                 let session = Session::new(&tape, true, self.seed.wrapping_add(epoch as u64));
-                let logits = network.forward(&session, session.constant(x_batch))?;
+                let logits = nn::interpret(&session, &g, &[&x_batch], logits)?;
                 let loss = logits.softmax_cross_entropy(&y_batch)?;
                 session.backward(loss)?;
                 optimizer.step(&params);
@@ -344,6 +348,37 @@ mod tests {
     use fingerprint::{base_devices, DatasetConfig};
     use sim_radio::building_1;
     use vital::evaluate_localizer;
+
+    /// Step, fused-op and slot counts of the compiled plans at batch 1 and
+    /// 32 (20 features, 10 classes), recorded at the commit before the
+    /// forward pass became graph-only: dropout nodes and param bindings
+    /// must leave the served plans unchanged.
+    #[test]
+    fn compiled_plan_sizes_are_pinned() {
+        let network = SherpaLocalizer::build_network(1, 20, 10);
+        for batch in [1, 32] {
+            let (g, _, posterior) = SherpaLocalizer::graph(&network, batch, 20).unwrap();
+            let plan = graph::Compiler::new().compile(&g, posterior).unwrap();
+            let got = (plan.step_count(), plan.fused_op_count(), plan.slot_count());
+            assert_eq!(got, (4, 5, 4), "batch {batch}");
+        }
+    }
+
+    #[test]
+    fn interpreted_graph_reaches_every_param() {
+        let network = SherpaLocalizer::build_network(1, 20, 10);
+        let (g, logits, _) = SherpaLocalizer::graph(&network, 3, 20).unwrap();
+        let x = SeededRng::new(2).uniform_tensor(&[3, 20], 0.0, 1.0);
+        let tape = autograd::Tape::new();
+        let session = nn::Session::new(&tape, true, 3);
+        let logits = nn::interpret(&session, &g, &[&x], logits).unwrap();
+        session
+            .backward(logits.softmax_cross_entropy(&[0, 5, 9]).unwrap())
+            .unwrap();
+        for p in network.params() {
+            assert!(p.grad().is_some(), "no gradient for {}", p.name());
+        }
+    }
 
     #[test]
     fn unfitted_errors() {

@@ -12,7 +12,7 @@
 use std::path::Path;
 
 use fingerprint::{FingerprintDataset, FingerprintObservation};
-use graph::{Graph, PlanCache};
+use graph::{ExprId, Graph, GraphError, PlanCache};
 use nn::{Layer, StackedAutoencoder};
 use tensor::rng::SeededRng;
 use tensor::Tensor;
@@ -152,25 +152,27 @@ impl WiDeepLocalizer {
         Ok(wideep)
     }
 
-    fn encode(&self, features: &[f32]) -> Result<Vec<f32>> {
-        let ae = self.autoencoder.as_ref().ok_or(VitalError::NotFitted)?;
-        let x = Tensor::from_vec(features.to_vec(), &[1, features.len()])?;
-        Ok(ae.encode_inference(&x)?.into_vec())
+    /// The SAE-encoder graph over a `[rows, cols]` feature stack.
+    fn graph(
+        ae: &StackedAutoencoder,
+        rows: usize,
+        cols: usize,
+    ) -> std::result::Result<(Graph, ExprId), GraphError> {
+        let mut g = Graph::new();
+        let x = g.input(rows, cols);
+        let code = ae.encode_push_graph(&mut g, x)?;
+        Ok((g, code))
     }
 
-    /// Encodes a `[batch, width]` query stack through the cached compiled
-    /// SAE-encoder plan; bit-identical to
-    /// [`StackedAutoencoder::encode_inference`] on the same stack.
+    /// Encodes a `[batch, width]` feature stack through the cached compiled
+    /// SAE-encoder plan.
     fn encode_matrix(&self, features: &Tensor) -> Result<Tensor> {
         let ae = self.autoencoder.as_ref().ok_or(VitalError::NotFitted)?;
         let (rows, cols) = features.shape().as_matrix()?;
         let entry = self
             .plan_cache
             .get_or_build(rows, nn::weight_stamp(&ae.params()), || {
-                let mut g = Graph::new();
-                let x = g.input(rows, cols);
-                let code = ae.encode_push_graph(&mut g, x)?;
-                Ok((g, code))
+                Self::graph(ae, rows, cols)
             })?;
         Ok(entry.execute(&[features])?)
     }
@@ -185,28 +187,25 @@ impl WiDeepLocalizer {
     /// scoring only touches Sync state, so queries fan out across threads.
     fn classify_codes(&self, codes: &Tensor) -> Result<Vec<usize>> {
         let code_width = codes.cols()?;
-        let queries: Vec<Vec<f32>> = codes
-            .as_slice()
-            .chunks_exact(code_width)
-            .map(<[f32]>::to_vec)
-            .collect();
-        let memory_codes = &self.codes;
-        let memory_labels = &self.labels;
-        let gamma = 1.0 / (2.0 * self.length_scale * self.length_scale);
-        let num_classes = self.num_classes;
-        let scored = parallel::parallel_map(&queries, |query| {
-            let mut posterior = vec![0.0f32; num_classes];
-            for (code, &label) in memory_codes.iter().zip(memory_labels) {
-                let d2: f32 = code.iter().zip(query).map(|(a, b)| (a - b) * (a - b)).sum();
-                posterior[label] += (-gamma * d2).exp();
-            }
-            Tensor::from_vec(posterior, &[num_classes]).and_then(|t| t.argmax())
-        });
+        let queries: Vec<&[f32]> = codes.as_slice().chunks_exact(code_width).collect();
+        let scored = parallel::parallel_map(&queries, |query| self.classify_code(query));
         scored.into_iter().map(|s| Ok(s?)).collect()
     }
 
-    /// [`Localizer::localize_batch`] through the eager (tape) SAE encoder —
-    /// the uncompiled reference the parity tests compare against.
+    /// Gaussian-kernel posterior argmax for one encoded query.
+    fn classify_code(&self, query: &[f32]) -> tensor::Result<usize> {
+        let gamma = 1.0 / (2.0 * self.length_scale * self.length_scale);
+        let mut posterior = vec![0.0f32; self.num_classes];
+        for (code, &label) in self.codes.iter().zip(&self.labels) {
+            let d2: f32 = code.iter().zip(query).map(|(a, b)| (a - b) * (a - b)).sum();
+            posterior[label] += (-gamma * d2).exp();
+        }
+        Tensor::from_vec(posterior, &[self.num_classes])?.argmax()
+    }
+
+    /// [`Localizer::localize_batch`] with the SAE-encoder graph replayed op
+    /// by op on a tape — the uncompiled reference the parity tests compare
+    /// against.
     ///
     /// # Errors
     /// Returns [`VitalError::NotFitted`] before [`Localizer::fit`].
@@ -214,28 +213,31 @@ impl WiDeepLocalizer {
         &self,
         observations: &[FingerprintObservation],
     ) -> Result<Vec<usize>> {
+        self.localize_with(observations, |features| {
+            let ae = self.autoencoder.as_ref().ok_or(VitalError::NotFitted)?;
+            let (rows, cols) = features.shape().as_matrix()?;
+            let (g, code) = Self::graph(ae, rows, cols)?;
+            Ok(nn::interpret_eval(&g, &[features], code)?)
+        })
+    }
+
+    /// Encodes each chunk of clean query features with `encode`, then
+    /// kernel-scores the codes.
+    fn localize_with(
+        &self,
+        observations: &[FingerprintObservation],
+        encode: impl Fn(&Tensor) -> Result<Tensor>,
+    ) -> Result<Vec<usize>> {
         if self.codes.is_empty() {
             return Err(VitalError::NotFitted);
         }
-        let ae = self.autoencoder.as_ref().ok_or(VitalError::NotFitted)?;
         let mut predictions = Vec::with_capacity(observations.len());
         for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
             let features = self.extractor.extract_clean_batch(chunk);
-            let codes = ae.encode_inference(&crate::features::stack_rows(&features)?)?;
+            let codes = encode(&crate::features::stack_rows(&features)?)?;
             predictions.extend(self.classify_codes(&codes)?);
         }
         Ok(predictions)
-    }
-
-    /// Gaussian-kernel posterior argmax for one encoded query.
-    fn classify_code(&self, query: &[f32]) -> Result<usize> {
-        let gamma = 1.0 / (2.0 * self.length_scale * self.length_scale);
-        let mut posterior = vec![0.0f32; self.num_classes];
-        for (code, &label) in self.codes.iter().zip(&self.labels) {
-            let d2: f32 = code.iter().zip(query).map(|(a, b)| (a - b) * (a - b)).sum();
-            posterior[label] += (-gamma * d2).exp();
-        }
-        Ok(Tensor::from_vec(posterior, &[self.num_classes])?.argmax()?)
     }
 }
 
@@ -250,7 +252,7 @@ impl Localizer for WiDeepLocalizer {
         }
         self.num_classes = train.num_rps();
         let mut rng = SeededRng::new(self.seed);
-        let (features, labels) = self.extractor.extract_matrix(train, true, 1, &mut rng);
+        let (features, _) = self.extractor.extract_matrix(train, true, 1, &mut rng);
         let width = features.cols()?;
 
         // Denoising SAE pre-training (aggressive corruption, per the paper's
@@ -267,49 +269,32 @@ impl Localizer for WiDeepLocalizer {
             .map_err(VitalError::from)?;
         self.autoencoder = Some(autoencoder);
 
-        // Store the codes of the clean fingerprints for kernel inference.
-        let mut clean_rng = SeededRng::new(self.seed.wrapping_add(2));
+        // Store the codes of the clean fingerprints for kernel inference,
+        // each encoded through the cached single-query plan `predict`
+        // serves from. extract_matrix may have produced augmented copies;
+        // keep labels of the clean observations only.
         self.codes = train
             .observations()
             .iter()
             .map(|o| {
-                let f = self.extractor.extract(o, false, &mut clean_rng);
-                self.encode(&f)
+                let features = self.extractor.extract_clean_batch(std::slice::from_ref(o));
+                Ok(self
+                    .encode_matrix(&crate::features::stack_rows(&features)?)?
+                    .into_vec())
             })
             .collect::<Result<Vec<_>>>()?;
-        self.labels = labels
-            .into_iter()
-            .take(self.codes.len())
-            .collect::<Vec<_>>();
-        // extract_matrix may have produced augmented copies; keep labels of
-        // the clean observations only.
         self.labels = train.labels();
         Ok(())
     }
 
     fn predict(&self, observation: &FingerprintObservation) -> Result<usize> {
-        if self.codes.is_empty() {
-            return Err(VitalError::NotFitted);
-        }
-        let mut rng = SeededRng::new(0);
-        let features = self.extractor.extract(observation, false, &mut rng);
-        let query = self.encode(&features)?;
-        self.classify_code(&query)
+        Ok(self.localize_batch(std::slice::from_ref(observation))?[0])
     }
 
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
-        if self.codes.is_empty() {
-            return Err(VitalError::NotFitted);
-        }
-        let mut predictions = Vec::with_capacity(observations.len());
-        for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
-            // Encode the whole chunk through the compiled SAE-encoder plan
-            // in one stacked pass, then kernel-score the codes.
-            let features = self.extractor.extract_clean_batch(chunk);
-            let codes = self.encode_matrix(&crate::features::stack_rows(&features)?)?;
-            predictions.extend(self.classify_codes(&codes)?);
-        }
-        Ok(predictions)
+        // Encode each chunk through the compiled SAE-encoder plan in one
+        // stacked pass, then kernel-score the codes.
+        self.localize_with(observations, |features| self.encode_matrix(features))
     }
 
     fn save(&self, path: &Path) -> Result<()> {
@@ -327,6 +312,38 @@ mod tests {
     use fingerprint::{base_devices, DatasetConfig};
     use sim_radio::building_1;
     use vital::evaluate_localizer;
+
+    /// Step, fused-op and slot counts of the compiled plans at batch 1 and
+    /// 32 (20 features, 10 classes), recorded at the commit before the
+    /// forward pass became graph-only: dropout nodes and param bindings
+    /// must leave the served plans unchanged.
+    #[test]
+    fn compiled_plan_sizes_are_pinned() {
+        let ae = WiDeepLocalizer::build_autoencoder(1, 20);
+        for batch in [1, 32] {
+            let (g, code) = WiDeepLocalizer::graph(&ae, batch, 20).unwrap();
+            let plan = graph::Compiler::new().compile(&g, code).unwrap();
+            let got = (plan.step_count(), plan.fused_op_count(), plan.slot_count());
+            assert_eq!(got, (2, 3, 2), "batch {batch}");
+        }
+    }
+
+    #[test]
+    fn interpreted_graph_reaches_every_param() {
+        // WiDeep trains only by SAE reconstruction.
+        let ae = WiDeepLocalizer::build_autoencoder(1, 20);
+        let mut g = Graph::new();
+        let x = g.input(3, 20);
+        let recon = ae.reconstruct_push_graph(&mut g, x).unwrap();
+        let data = SeededRng::new(2).uniform_tensor(&[3, 20], 0.0, 1.0);
+        let tape = autograd::Tape::new();
+        let session = nn::Session::new(&tape, true, 3);
+        let recon = nn::interpret(&session, &g, &[&data], recon).unwrap();
+        session.backward(recon.mse_loss(&data).unwrap()).unwrap();
+        for p in ae.params() {
+            assert!(p.grad().is_some(), "no gradient for {}", p.name());
+        }
+    }
 
     #[test]
     fn unfitted_errors_and_name() {

@@ -1,10 +1,10 @@
 //! SIMD dispatch-level parity tool for the CI `simd-matrix` job.
 //!
 //! `dump` runs a seeded, untrained smoke ViT (the same deterministic
-//! construction every time) through **both** inference paths — eager
-//! logits and compiled-plan predictions — under the currently active
-//! `VITAL_SIMD` level, and writes the predictions plus the raw logit bit
-//! patterns to a JSON report. `compare` diffs two such reports:
+//! construction every time) through **both** inference paths — logits from
+//! the graph replayed op by op on a tape, and compiled-plan predictions —
+//! under the currently active `VITAL_SIMD` level, and writes the
+//! predictions plus the raw logit bit patterns to a JSON report. `compare` diffs two such reports:
 //!
 //! ```text
 //! VITAL_SIMD=scalar simd_parity dump --out parity-scalar.json
@@ -58,7 +58,7 @@ fn smoke_logits_and_predictions() -> (Tensor, Vec<usize>) {
     let tape = autograd::Tape::new();
     let session = nn::Session::new(&tape, false, 0);
     let logits = vit
-        .forward_batch(&session, &batch)
+        .replay_batch(&session, &batch)
         .expect("smoke forward")
         .value();
     let predictions = vit.predict_batch(&batch).expect("smoke predict");

@@ -178,7 +178,7 @@ impl VitalModel {
                         .seed
                         .wrapping_add((epoch * 10_007 + batches) as u64),
                 );
-                let logits = self.transformer.forward_batch(&session, &batch_patches)?;
+                let logits = self.transformer.replay_batch(&session, &batch_patches)?;
                 let loss = logits.softmax_cross_entropy(&batch_labels)?;
                 epoch_loss += loss.value().item()?;
                 batches += 1;

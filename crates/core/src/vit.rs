@@ -72,65 +72,22 @@ impl EncoderBlock {
         self.out_width
     }
 
-    /// Applies the block to a `[num_patches, d_model]` sequence.
-    ///
-    /// # Errors
-    /// Returns an error if the input width differs from the block's
-    /// `d_model`.
-    pub fn forward<'t>(&self, session: &Session<'t>, x: Var<'t>) -> crate::Result<Var<'t>> {
-        self.forward_stacked(session, x, 1)
-    }
-
-    /// Applies the block to a stack of `samples` sequences laid out as a
-    /// `[samples * num_patches, d_model]` matrix.
+    /// Appends the block over a stack of `samples` sequences laid out as a
+    /// `[samples * num_patches, d_model]` matrix to an expression graph.
     ///
     /// Layer-norm and the MLP are row-wise, so they run directly on the
-    /// stack (one big GEMM per dense layer instead of `samples` small ones);
+    /// stack (one GEMM per dense layer instead of `samples` small ones);
     /// the attention sub-block — whose softmax couples the rows of a
     /// sample — runs stacked too, batching every `(sample, head)` score
-    /// block through one SIMD softmax sweep.
-    ///
-    /// # Errors
-    /// Returns an error if the row count is not a multiple of `samples` or
-    /// the width differs from the block's `d_model`.
-    pub fn forward_stacked<'t>(
-        &self,
-        session: &Session<'t>,
-        x: Var<'t>,
-        samples: usize,
-    ) -> crate::Result<Var<'t>> {
-        let rows = x.value().rows()?;
-        if samples == 0 || !rows.is_multiple_of(samples) {
-            return Err(VitalError::InvalidDataset(format!(
-                "stacked sequence of {rows} rows does not divide into {samples} samples"
-            )));
-        }
-        let normed = self.norm_attention.forward(session, x)?;
-        let attended = self
-            .attention
-            .forward_stacked(session, normed, samples)?
-            .add(x)?;
-        let mlp_out = self
-            .mlp
-            .forward(session, self.norm_mlp.forward(session, attended)?)?;
-        let fused = match self.fusion {
-            Fusion::Concat => Var::concat_cols(&[attended, mlp_out])?,
-            Fusion::Residual => attended.add(mlp_out)?,
-        };
-        Ok(fused)
-    }
-
-    /// Appends the block to an expression graph, mirroring
-    /// [`EncoderBlock::forward_stacked`] step for step (stacked attention
-    /// with one batched softmax over every `(sample, head)` score block).
-    fn push_graph_stacked(
+    /// block through one softmax sweep.
+    fn push_graph(
         &self,
         g: &mut Graph,
         x: ExprId,
         samples: usize,
     ) -> std::result::Result<ExprId, GraphError> {
         let normed = self.norm_attention.push_graph(g, x)?;
-        let attended_pre = self.attention.push_graph_stacked(g, normed, samples)?;
+        let attended_pre = self.attention.push_graph(g, normed, samples)?;
         let attended = g.binary(attended_pre, x, BinaryOp::Add)?;
         let normed_mlp = self.norm_mlp.push_graph(g, attended)?;
         let mlp_out = self.mlp.push_graph(g, normed_mlp)?;
@@ -242,64 +199,19 @@ impl VisionTransformer {
         self.num_classes
     }
 
-    /// Forward pass of a single image's patch matrix, producing
-    /// `[1, num_classes]` logits.
-    ///
-    /// # Errors
-    /// Returns an error if `patches` is not `[num_patches, patch_dim]`.
-    pub fn forward_sample<'t>(&self, session: &Session<'t>, patches: &Tensor) -> Result<Var<'t>> {
-        self.forward_batch(session, std::slice::from_ref(patches))
-    }
-
-    /// Forward pass of a batch of patch matrices, producing
-    /// `[batch, num_classes]` logits.
-    ///
-    /// The batch is executed *stacked*: every sample's patch rows are
-    /// concatenated into one `[batch * num_patches, patch_dim]` matrix, so
-    /// the patch embedding, every layer-norm, every encoder MLP, every
-    /// attention projection and the classification head each run as a
-    /// single large GEMM over the whole batch (which the packed kernel then
-    /// splits across threads), and all per-sample attention softmaxes run
-    /// as one batched SIMD sweep.
+    /// Replays the forward graph of `batch` onto `session`'s tape (see
+    /// [`nn::interpret`]), producing `[batch, num_classes]` logits: the
+    /// training forward, and in eval mode the reference for the compiled
+    /// plans.
     ///
     /// # Errors
     /// Returns an error if the batch is empty or any patch matrix has the
     /// wrong shape.
-    pub fn forward_batch<'t>(&self, session: &Session<'t>, batch: &[Tensor]) -> Result<Var<'t>> {
-        if batch.is_empty() {
-            return Err(VitalError::InvalidDataset("empty batch".into()));
-        }
-        for patches in batch {
-            if patches.shape().dims() != [self.num_patches, self.patch_dim] {
-                return Err(VitalError::InvalidDataset(format!(
-                    "patch matrix {:?} does not match model expectation [{}, {}]",
-                    patches.shape().dims(),
-                    self.num_patches,
-                    self.patch_dim
-                )));
-            }
-        }
-        let samples = batch.len();
-        let stacked = if samples == 1 {
-            batch[0].clone()
-        } else {
-            let refs: Vec<&Tensor> = batch.iter().collect();
-            Tensor::concat_rows(&refs)?
-        };
-        let x = session.constant(stacked);
-        // Linear trainable projection of flattened patches (paper §V.B)...
-        let embedded = self.patch_embed.forward(session, x)?;
-        // ...plus the positional embedding (tiled across the batch) that
-        // keeps patch order information.
-        let positional = session.param(&self.positional);
-        let mut hidden = embedded.add_tile_rows(positional, samples)?;
-        hidden = session.dropout(hidden, self.dropout)?;
-        for block in &self.blocks {
-            hidden = block.forward_stacked(session, hidden, samples)?;
-        }
-        // Collapse each sample's patch rows to its pooled feature row.
-        let pooled = hidden.mean_pool_row_blocks(self.num_patches)?;
-        Ok(self.head.forward(session, pooled)?)
+    pub fn replay_batch<'t>(&self, session: &Session<'t>, batch: &[Tensor]) -> Result<Var<'t>> {
+        self.validate_batch(batch)?;
+        let (g, logits) = self.build_graph(batch.len())?;
+        let inputs: Vec<&Tensor> = batch.iter().collect();
+        Ok(nn::interpret(session, &g, &inputs, logits)?)
     }
 
     /// Inference: the predicted class of one patch matrix.
@@ -331,8 +243,9 @@ impl VisionTransformer {
         Ok(entry.execute_argmax(&inputs)?)
     }
 
-    /// Batched inference on the eager tape path (one tensor per op). Kept
-    /// as the bit-exactness reference for the compiled path.
+    /// Batched inference by replaying the graph op by op on an eval-mode
+    /// tape (one tensor per op): the bit-exactness reference for the
+    /// compiled path.
     ///
     /// # Errors
     /// Returns an error if the batch is empty or any patch matrix has the
@@ -340,7 +253,7 @@ impl VisionTransformer {
     pub fn predict_batch_eager(&self, batch: &[Tensor]) -> Result<Vec<usize>> {
         let tape = autograd::Tape::new();
         let session = Session::new(&tape, false, 0);
-        let logits = self.forward_batch(&session, batch)?.value();
+        let logits = self.replay_batch(&session, batch)?.value();
         Ok(logits.argmax_rows()?)
     }
 
@@ -371,25 +284,38 @@ impl VisionTransformer {
         Ok(())
     }
 
-    /// Builds the expression graph of the full stacked inference forward
-    /// pass for a `samples`-image batch, mirroring
-    /// [`VisionTransformer::forward_batch`] in eval mode (dropout is an
-    /// identity there and is not represented).
-    fn build_graph(&self, samples: usize) -> std::result::Result<(Graph, ExprId), GraphError> {
+    /// Builds the expression graph of the model's forward pass over a
+    /// `samples`-image batch — the one definition both the compiled plans
+    /// and [`VisionTransformer::replay_batch`] run.
+    ///
+    /// Every sample's patch rows are stacked into one
+    /// `[samples * num_patches, patch_dim]` matrix, so the patch embedding
+    /// (a linear projection of flattened patches, paper §V.B), every
+    /// layer-norm, every attention projection, every encoder MLP and the
+    /// classification head each run as one GEMM over the whole batch. The
+    /// positional embedding is tiled across the batch, and mean pooling
+    /// collapses each sample's patch rows to its feature row before the
+    /// head.
+    ///
+    /// # Errors
+    /// Returns a [`GraphError`] if `samples` is zero.
+    pub fn build_graph(&self, samples: usize) -> std::result::Result<(Graph, ExprId), GraphError> {
         let mut g = Graph::new();
-        let per_sample: Vec<ExprId> = (0..samples)
-            .map(|_| g.input(self.num_patches, self.patch_dim))
-            .collect();
+        let mut per_sample = Vec::with_capacity(samples);
+        for _ in 0..samples {
+            per_sample.push(g.input(self.num_patches, self.patch_dim));
+        }
         let stacked = if samples == 1 {
             per_sample[0]
         } else {
             g.concat_rows(&per_sample)?
         };
         let embedded = self.patch_embed.push_graph(&mut g, stacked)?;
-        let positional = g.constant(self.positional.value())?;
+        let positional = self.positional.push_graph(&mut g)?;
         let mut hidden = g.add_tile_rows(embedded, positional, samples)?;
+        hidden = g.dropout(hidden, self.dropout)?;
         for block in &self.blocks {
-            hidden = block.push_graph_stacked(&mut g, hidden, samples)?;
+            hidden = block.push_graph(&mut g, hidden, samples)?;
         }
         let pooled = g.mean_row_blocks(hidden, self.num_patches)?;
         let logits = self.head.push_graph(&mut g, pooled)?;
@@ -452,7 +378,10 @@ mod tests {
         let patches = SeededRng::new(2).uniform_tensor(&[9, 48], -1.0, 1.0);
         let tape = Tape::new();
         let session = Session::new(&tape, false, 0);
-        let logits = vit.forward_sample(&session, &patches).unwrap().value();
+        let logits = vit
+            .replay_batch(&session, std::slice::from_ref(&patches))
+            .unwrap()
+            .value();
         assert_eq!(logits.shape().dims(), &[1, 8]);
         assert!(logits.all_finite());
     }
@@ -465,7 +394,7 @@ mod tests {
         let tape = Tape::new();
         let session = Session::new(&tape, false, 0);
         let bad = Tensor::zeros(&[4, 48]);
-        assert!(vit.forward_sample(&session, &bad).is_err());
+        assert!(vit.replay_batch(&session, &[bad]).is_err());
     }
 
     #[test]
@@ -478,9 +407,9 @@ mod tests {
             .collect();
         let tape = Tape::new();
         let session = Session::new(&tape, false, 0);
-        let logits = vit.forward_batch(&session, &batch).unwrap().value();
+        let logits = vit.replay_batch(&session, &batch).unwrap().value();
         assert_eq!(logits.shape().dims(), &[3, 8]);
-        assert!(vit.forward_batch(&session, &[]).is_err());
+        assert!(vit.replay_batch(&session, &[]).is_err());
     }
 
     #[test]
@@ -496,12 +425,15 @@ mod tests {
             .collect();
         let tape = Tape::new();
         let session = Session::new(&tape, false, 0);
-        let batched = vit.forward_batch(&session, &batch).unwrap().value();
+        let batched = vit.replay_batch(&session, &batch).unwrap().value();
         assert_eq!(batched.shape().dims(), &[4, 8]);
         for (i, patches) in batch.iter().enumerate() {
             let tape_s = Tape::new();
             let session_s = Session::new(&tape_s, false, 0);
-            let single = vit.forward_sample(&session_s, patches).unwrap().value();
+            let single = vit
+                .replay_batch(&session_s, std::slice::from_ref(patches))
+                .unwrap()
+                .value();
             assert_eq!(
                 batched.row(i).unwrap(),
                 single.row(0).unwrap(),
@@ -525,7 +457,7 @@ mod tests {
             .collect();
         let tape = Tape::new();
         let session = Session::new(&tape, true, 1);
-        let logits = vit.forward_batch(&session, &batch).unwrap();
+        let logits = vit.replay_batch(&session, &batch).unwrap();
         let loss = logits.softmax_cross_entropy(&[0, 3]).unwrap();
         session.backward(loss).unwrap();
         let missing: Vec<String> = vit
@@ -593,6 +525,30 @@ mod tests {
             "stale plan evicted, fresh one cached"
         );
         let _ = before;
+    }
+
+    /// Step, fused-op and slot counts of the compiled smoke-config plans,
+    /// recorded at the commit before the forward pass became graph-only:
+    /// adding dropout nodes and param bindings to the graph must leave
+    /// the served plans unchanged.
+    #[test]
+    fn compiled_plan_sizes_are_pinned() {
+        let mut config = VitalConfig::fast(18, 8);
+        config.image_size = 60;
+        config.patch_size = 12;
+        config.encoder_blocks = 2;
+        let vit = VisionTransformer::new(&mut SeededRng::new(2023), &config).unwrap();
+        for (batch, steps, fused, slots) in
+            [(1, 77, 31, 20), (2, 142, 39, 27), (32, 1822, 279, 177)]
+        {
+            let (g, logits) = vit.build_graph(batch).unwrap();
+            let plan = graph::Compiler::new().compile(&g, logits).unwrap();
+            assert_eq!(
+                (plan.step_count(), plan.fused_op_count(), plan.slot_count()),
+                (steps, fused, slots),
+                "batch {batch}"
+            );
+        }
     }
 
     #[test]

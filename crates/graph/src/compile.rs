@@ -21,6 +21,8 @@
 //!    pins every step to it, GEMM included: matmul steps run through
 //!    `tensor::gemm_ex_into_at` at the latched level, so a plan built
 //!    under AVX2 keeps its 6×16 packed tiles (and its bits) for life.
+//!    A dropout node emits nothing: it aliases its operand, and its
+//!    consumers count as the operand's for the fusion precondition.
 //! 2. **Liveness-based slot planning.** Each step's output is a virtual
 //!    register; its last use is the last step that reads it. Walking steps
 //!    in order, the output slot is drawn from a free list of
@@ -216,8 +218,20 @@ impl Compiler {
             reachable[id] = true;
             for_each_operand(&graph.nodes[id].op, |op_id| stack.push(op_id.0));
         }
+        // A dropout node is the identity at inference: it aliases its
+        // operand's value, so its consumers count against that operand.
+        let mut source: Vec<usize> = (0..n).collect();
+        for (id, node) in graph.nodes.iter().enumerate() {
+            if let Op::Dropout { x, .. } = node.op {
+                source[id] = source[x.0];
+            }
+        }
         for (id, _) in reachable.iter().enumerate().filter(|(_, &live)| live) {
-            for_each_operand(&graph.nodes[id].op, |op_id| consumers[op_id.0] += 1);
+            if !matches!(graph.nodes[id].op, Op::Dropout { .. }) {
+                for_each_operand(&graph.nodes[id].op, |op_id| {
+                    consumers[source[op_id.0]] += 1;
+                });
+            }
         }
 
         // Pass 1: kernel selection + fusion. `loc[id]` is where the node's
@@ -237,11 +251,12 @@ impl Compiler {
             let fusable = |x: ExprId, loc: &[Option<Ref>], steps: &[Step]| {
                 !steps.is_empty()
                     && loc[x.0] == Some(Ref::Slot(steps.len() - 1))
-                    && consumers[x.0] == 1
+                    && consumers[source[x.0]] == 1
             };
             match &node.op {
                 Op::Input { index } => loc[id] = Some(Ref::Input(*index)),
                 Op::Constant { index } => loc[id] = Some(Ref::Const(*index)),
+                Op::Dropout { x, .. } => loc[id] = loc[x.0],
                 Op::Unary { x, op } => {
                     if fusable(*x, &loc, &steps) {
                         let step = steps.last_mut().expect("fusable implies a step");
@@ -565,7 +580,10 @@ fn for_each_operand(op: &Op, mut f: impl FnMut(ExprId)) {
                 f(*p);
             }
         }
-        Op::SliceRows { x, .. } | Op::SliceCols { x, .. } | Op::Reshape { x, .. } => f(*x),
+        Op::SliceRows { x, .. }
+        | Op::SliceCols { x, .. }
+        | Op::Reshape { x, .. }
+        | Op::Dropout { x, .. } => f(*x),
     }
 }
 

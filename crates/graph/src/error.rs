@@ -72,6 +72,12 @@ pub enum GraphError {
         /// Dims provided at execution.
         provided: Vec<usize>,
     },
+    /// An op the evaluating backend has no implementation for (the
+    /// training interpreter replays only ops with a tape counterpart).
+    Unsupported {
+        /// The op, as named in the IR.
+        op: &'static str,
+    },
     /// An underlying tensor operation failed.
     Tensor(TensorError),
 }
@@ -110,6 +116,7 @@ impl fmt::Display for GraphError {
                 f,
                 "input {index}: plan compiled for dims {expected:?}, got {provided:?}"
             ),
+            GraphError::Unsupported { op } => write!(f, "{op}: not supported here"),
             GraphError::Tensor(e) => write!(f, "tensor error: {e}"),
         }
     }

@@ -12,9 +12,14 @@
 //! [constants](Graph::constant) — weight snapshots taken at build time —
 //! by value. Constants deduplicate on storage identity, so unrolled loops
 //! (e.g. per-sample attention) that re-push the same `Arc`-backed weight
-//! tensor share one constant slot.
+//! tensor share one constant slot. A constant pushed with
+//! [`Graph::bound_constant`] also remembers the trainable parameter it was
+//! snapshotted from, and [`Graph::nodes`] walks the nodes in insertion
+//! order, so a training interpreter can replay the graph op by op.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use tensor::{BinaryOp, MatmulSpec, Tensor, UnaryOp};
 
@@ -154,12 +159,22 @@ pub enum Op {
         /// New column count.
         cols: usize,
     },
+    /// Inverted dropout at `rate` in training; the identity at inference,
+    /// so the compiler folds it onto its operand.
+    Dropout {
+        /// Operand.
+        x: ExprId,
+        /// Probability of zeroing an element while training.
+        rate: f32,
+    },
 }
 
 pub(crate) struct Node {
     pub(crate) op: Op,
     pub(crate) rows: usize,
     pub(crate) cols: usize,
+    /// What a [`Graph::bound_constant`] node was snapshotted from.
+    binding: Option<Arc<dyn Any + Send + Sync>>,
 }
 
 /// An expression graph under construction.
@@ -175,6 +190,13 @@ pub struct Graph {
     /// snapshots of the same weight re-pushed by unrolled loops collapse
     /// onto one constant slot.
     const_dedup: HashMap<(usize, usize, usize), usize>,
+}
+
+impl ExprId {
+    /// The node's position in insertion order (see [`Graph::nodes`]).
+    pub fn index(self) -> usize {
+        self.0
+    }
 }
 
 impl Graph {
@@ -210,8 +232,33 @@ impl Graph {
     }
 
     fn push(&mut self, op: Op, rows: usize, cols: usize) -> ExprId {
-        self.nodes.push(Node { op, rows, cols });
+        self.nodes.push(Node {
+            op,
+            rows,
+            cols,
+            binding: None,
+        });
         ExprId(self.nodes.len() - 1)
+    }
+
+    /// Every node in insertion order — a topological order, since builders
+    /// can only reference earlier ids.
+    pub fn nodes(&self) -> impl Iterator<Item = (ExprId, &Op)> + '_ {
+        self.nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| (ExprId(i), &node.op))
+    }
+
+    /// The tensor behind an [`Op::Constant`] index, exactly as pushed.
+    pub fn constant_value(&self, index: usize) -> Option<&Tensor> {
+        self.consts.get(index)
+    }
+
+    /// The value a [`Graph::bound_constant`] node was bound to, if it was
+    /// bound to a `B`.
+    pub fn binding<B: Any>(&self, id: ExprId) -> Option<&B> {
+        self.nodes.get(id.0)?.binding.as_ref()?.downcast_ref()
     }
 
     /// Declares the next runtime input with the given dims.
@@ -250,6 +297,25 @@ impl Graph {
             }
         };
         Ok(self.push(Op::Constant { index }, rows, cols))
+    }
+
+    /// [`Graph::constant`], additionally binding the node to `binding` —
+    /// the trainable parameter `t` was snapshotted from. Compilation
+    /// ignores the binding; the training interpreter reads it back with
+    /// [`Graph::binding`]. The binding is recorded per pushed node (not
+    /// per deduplicated constant slot), because copy-on-write clones of
+    /// different parameters can share storage.
+    ///
+    /// # Errors
+    /// Returns [`GraphError::BadConstant`] for rank > 2 tensors.
+    pub fn bound_constant<B: Any + Send + Sync>(
+        &mut self,
+        t: Tensor,
+        binding: B,
+    ) -> Result<ExprId, GraphError> {
+        let id = self.constant(t)?;
+        self.nodes[id.0].binding = Some(Arc::new(binding));
+        Ok(id)
     }
 
     /// `op(a) · op(b)` with per-operand transposes.
@@ -524,6 +590,15 @@ impl Graph {
         Ok(self.push(Op::SliceCols { x, start, end }, rows, end - start))
     }
 
+    /// Dropout at `rate` (see [`Op::Dropout`]).
+    ///
+    /// # Errors
+    /// Returns [`GraphError::UnknownExpr`] for a foreign id.
+    pub fn dropout(&mut self, x: ExprId, rate: f32) -> Result<ExprId, GraphError> {
+        let (rows, cols) = self.dims(x)?;
+        Ok(self.push(Op::Dropout { x, rate }, rows, cols))
+    }
+
     /// Same elements, new dims.
     ///
     /// # Errors
@@ -598,6 +673,29 @@ mod tests {
         g.constant(other).unwrap();
         assert_eq!(g.consts.len(), 2);
         assert!(g.constant(Tensor::zeros(&[2, 2, 2])).is_err());
+    }
+
+    #[test]
+    fn bindings_stay_on_their_node_even_when_storage_is_shared() {
+        // Two bindings over one storage-identical tensor share a constant
+        // slot but keep their own binding; plain constants have none.
+        let mut g = Graph::new();
+        let w = Tensor::ones(&[2, 2]);
+        let a = g.bound_constant(w.clone(), "a").unwrap();
+        let b = g.bound_constant(w.clone(), "b").unwrap();
+        let plain = g.constant(w).unwrap();
+        assert_eq!(g.consts.len(), 1);
+        assert_eq!(g.binding::<&str>(a), Some(&"a"));
+        assert_eq!(g.binding::<&str>(b), Some(&"b"));
+        assert_eq!(g.binding::<&str>(plain), None);
+        assert_eq!(g.binding::<u32>(a), None, "wrong type reads as unbound");
+        let walked: Vec<usize> = g.nodes().map(|(id, _)| id.index()).collect();
+        assert_eq!(walked, vec![0, 1, 2]);
+        assert!(matches!(
+            g.nodes().next(),
+            Some((_, Op::Constant { index: 0 }))
+        ));
+        assert_eq!(g.constant_value(0).unwrap().shape().dims(), &[2, 2]);
     }
 
     #[test]

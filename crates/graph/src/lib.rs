@@ -288,6 +288,49 @@ mod tests {
     }
 
     #[test]
+    fn dropout_folds_away_at_compile_time() {
+        // dense → ReLU → dropout → dense compiles to exactly the plan of
+        // the same graph without the dropout node.
+        let build = |with_dropout: bool| {
+            let mut g = Graph::new();
+            let x = g.input(3, 4);
+            let w = g.constant(t(vec![0.25; 16], &[4, 4])).unwrap();
+            let mm = g.matmul(x, w, MatmulSpec::NN).unwrap();
+            let mut h = g.unary(mm, UnaryOp::Relu).unwrap();
+            if with_dropout {
+                h = g.dropout(h, 0.5).unwrap();
+            }
+            let scaled = g.unary(h, UnaryOp::MulScalar(2.0)).unwrap();
+            let out = g.matmul(scaled, w, MatmulSpec::NN).unwrap();
+            Compiler::new().compile(&g, out).unwrap()
+        };
+        let (plain, folded) = (build(false), build(true));
+        assert_eq!(folded.step_count(), plain.step_count());
+        assert_eq!(folded.fused_op_count(), plain.fused_op_count());
+        assert_eq!(folded.slot_count(), plain.slot_count());
+        let xt = t((0..12).map(|v| v as f32 - 5.0).collect(), &[3, 4]);
+        let run = |plan: &CompiledPlan| plan.execute(&mut plan.new_arena(), &[&xt]).unwrap();
+        assert_eq!(run(&folded).as_slice(), run(&plain).as_slice());
+    }
+
+    #[test]
+    fn dropout_operand_with_another_consumer_is_not_fused_over() {
+        // out = dropout(relu(x)) · 2 + relu(x): the ReLU value has two
+        // consumers once the dropout alias is seen through, so the scale
+        // must not rewrite it in place.
+        let mut g = Graph::new();
+        let x = g.input(2, 2);
+        let y = g.unary(x, UnaryOp::Relu).unwrap();
+        let d = g.dropout(y, 0.5).unwrap();
+        let s = g.unary(d, UnaryOp::MulScalar(2.0)).unwrap();
+        let out = g.binary(s, y, BinaryOp::Add).unwrap();
+        let plan = Compiler::new().compile(&g, out).unwrap();
+        let xt = t(vec![1.0, -2.0, 3.0, -4.0], &[2, 2]);
+        let got = plan.execute(&mut plan.new_arena(), &[&xt]).unwrap();
+        assert_eq!(got.as_slice(), &[3.0, 0.0, 9.0, 0.0]);
+    }
+
+    #[test]
     fn degenerate_output_compiles_to_copy() {
         let mut g = Graph::new();
         let x = g.input(2, 2);

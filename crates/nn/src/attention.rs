@@ -1,8 +1,7 @@
-use autograd::Var;
 use tensor::rng::SeededRng;
 use tensor::TensorError;
 
-use crate::{Dense, Init, Layer, Param, Result, Session};
+use crate::{Dense, Init, Layer, Param, Result};
 
 /// Multi-head self-attention (MSA) over a sequence of embedded patches.
 ///
@@ -58,131 +57,22 @@ impl MultiHeadSelfAttention {
         self.d_model
     }
 
-    /// Applies self-attention to a `[seq_len, d_model]` sequence.
-    ///
-    /// # Errors
-    /// Returns an error if the input feature width differs from `d_model`.
-    pub fn forward<'t>(&self, session: &Session<'t>, x: Var<'t>) -> Result<Var<'t>> {
-        self.forward_stacked(session, x, 1)
-    }
-
-    /// Applies self-attention independently to `samples` sequences stacked
-    /// as a `[samples * seq_len, d_model]` matrix.
+    /// Appends self-attention over `samples` sequences stacked as a
+    /// `[samples * seq_len, d_model]` matrix to an expression graph.
     ///
     /// The Q/K/V and output projections run once over the whole stack (one
-    /// large GEMM each), and every `(sample, head)` score block is
-    /// row-concatenated into a single `[samples * heads * seq_len, seq_len]`
-    /// matrix so the attention weighting is **one** batched softmax sweep
-    /// through the runtime-dispatched SIMD kernel. Softmax is row-wise, so
-    /// the result is bit-identical to attending each sample alone.
-    ///
-    /// # Errors
-    /// Returns an error if the row count is not a multiple of `samples` or
-    /// the feature width differs from `d_model`.
-    pub fn forward_stacked<'t>(
-        &self,
-        session: &Session<'t>,
-        x: Var<'t>,
-        samples: usize,
-    ) -> Result<Var<'t>> {
-        let rows = x.value().rows()?;
-        if samples == 0 || !rows.is_multiple_of(samples) {
-            return Err(TensorError::ShapeMismatch {
-                op: "msa.forward_stacked",
-                lhs: vec![rows],
-                rhs: vec![samples],
-            });
-        }
-        let seq_len = rows / samples;
-        let q = self.query.forward(session, x)?;
-        let k = self.key.forward(session, x)?;
-        let v = self.value.forward(session, x)?;
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-
-        // Dot-product similarity (eq. 2) per (sample, head) block...
-        let mut scores = Vec::with_capacity(samples * self.heads);
-        for s in 0..samples {
-            let (qs, ks) = if samples == 1 {
-                (q, k)
-            } else {
-                (
-                    q.slice_rows(s * seq_len, (s + 1) * seq_len)?,
-                    k.slice_rows(s * seq_len, (s + 1) * seq_len)?,
-                )
-            };
-            for h in 0..self.heads {
-                let start = h * self.head_dim;
-                let end = start + self.head_dim;
-                let qh = qs.slice_cols(start, end)?;
-                let kh = ks.slice_cols(start, end)?;
-                scores.push(qh.matmul(kh.transpose()?)?.scale(scale));
-            }
-        }
-        // ...softmax weighting (eq. 1) as one batched sweep.
-        let stacked_scores = if scores.len() == 1 {
-            scores.pop().expect("at least one head")
-        } else {
-            Var::concat_rows(&scores)?
-        };
-        let attn_all = stacked_scores.softmax_rows()?;
-
-        // attn · V per block, reassembled to `[samples * seq_len, d_model]`.
-        let mut sample_outputs = Vec::with_capacity(samples);
-        for s in 0..samples {
-            let vs = if samples == 1 {
-                v
-            } else {
-                v.slice_rows(s * seq_len, (s + 1) * seq_len)?
-            };
-            let mut head_outputs = Vec::with_capacity(self.heads);
-            for h in 0..self.heads {
-                let block = (s * self.heads + h) * seq_len;
-                let attn = if samples * self.heads == 1 {
-                    attn_all
-                } else {
-                    attn_all.slice_rows(block, block + seq_len)?
-                };
-                let start = h * self.head_dim;
-                let vh = vs.slice_cols(start, start + self.head_dim)?;
-                head_outputs.push(attn.matmul(vh)?);
-            }
-            // Concat(h1..hn) per sample (eq. 4)...
-            sample_outputs.push(Var::concat_cols(&head_outputs)?);
-        }
-        let concat = if samples == 1 {
-            sample_outputs.pop().expect("samples >= 1")
-        } else {
-            Var::concat_rows(&sample_outputs)?
-        };
-        // ...then the shared W_o projection over the whole stack.
-        self.output.forward(session, concat)
-    }
-
-    /// Appends the attention sub-block to an expression graph, mirroring
-    /// the eager [`MultiHeadSelfAttention::forward`] step for step.
-    ///
-    /// # Errors
-    /// Returns a [`graph::GraphError`] on operand-shape mismatch.
-    pub fn push_graph(
-        &self,
-        g: &mut graph::Graph,
-        x: graph::ExprId,
-    ) -> std::result::Result<graph::ExprId, graph::GraphError> {
-        self.push_graph_stacked(g, x, 1)
-    }
-
-    /// Appends the stacked attention sub-block to an expression graph,
-    /// mirroring [`MultiHeadSelfAttention::forward_stacked`] step for step.
-    /// The `Q·Kᵀ` products compile to transposed-B GEMMs (no materialised
-    /// transpose), each per-head `1/√d` scale fuses into its GEMM's output
-    /// pass, and all `(sample, head)` score blocks feed **one** batched
-    /// softmax kernel — bit-identical to the eager sequence at the plan's
-    /// latched dispatch level.
+    /// large GEMM each). Each `(sample, head)` block computes
+    /// `Q·Kᵀ · 1/√d` (eq. 2) as a transposed-B GEMM with the scale fused
+    /// into its output pass, and all score blocks are row-concatenated so
+    /// the attention weighting (eq. 1) is **one** batched softmax sweep.
+    /// Softmax is row-wise, so the result is bit-identical to attending
+    /// each sample alone. The per-head `attn · V` blocks are concatenated
+    /// per sample (eq. 4) before the shared `W_o` projection.
     ///
     /// # Errors
     /// Returns a [`graph::GraphError`] on operand-shape mismatch or if the
     /// stacked row count does not divide into `samples`.
-    pub fn push_graph_stacked(
+    pub fn push_graph(
         &self,
         g: &mut graph::Graph,
         x: graph::ExprId,
@@ -191,7 +81,7 @@ impl MultiHeadSelfAttention {
         let (rows, cols) = g.dims(x)?;
         if samples == 0 || !rows.is_multiple_of(samples) {
             return Err(graph::GraphError::Tensor(TensorError::ShapeMismatch {
-                op: "msa.push_graph_stacked",
+                op: "msa.push_graph",
                 lhs: vec![rows, cols],
                 rhs: vec![samples],
             }));
@@ -271,8 +161,17 @@ impl Layer for MultiHeadSelfAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{interpret, interpret_eval, Session};
     use autograd::Tape;
+    use graph::Graph;
     use tensor::Tensor;
+
+    fn graph_of(msa: &MultiHeadSelfAttention, rows: usize) -> (Graph, graph::ExprId) {
+        let mut g = Graph::new();
+        let x = g.input(rows, msa.d_model());
+        let y = msa.push_graph(&mut g, x, 1).unwrap();
+        (g, y)
+    }
 
     #[test]
     fn rejects_invalid_configuration() {
@@ -288,12 +187,11 @@ mod tests {
         let msa = MultiHeadSelfAttention::new(&mut rng, 16, 4).unwrap();
         assert_eq!(msa.heads(), 4);
         assert_eq!(msa.d_model(), 16);
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let x = session.constant(SeededRng::new(2).uniform_tensor(&[6, 16], -1.0, 1.0));
-        let y = msa.forward(&session, x).unwrap();
-        assert_eq!(y.value().shape().dims(), &[6, 16]);
-        assert!(y.value().all_finite());
+        let (g, y) = graph_of(&msa, 6);
+        let x = SeededRng::new(2).uniform_tensor(&[6, 16], -1.0, 1.0);
+        let y = interpret_eval(&g, &[&x], y).unwrap();
+        assert_eq!(y.shape().dims(), &[6, 16]);
+        assert!(y.all_finite());
     }
 
     #[test]
@@ -311,9 +209,10 @@ mod tests {
         let msa = MultiHeadSelfAttention::new(&mut rng, 8, 2).unwrap();
         let tape = Tape::new();
         let session = Session::new(&tape, true, 0);
-        let x = session.constant(SeededRng::new(5).uniform_tensor(&[4, 8], -1.0, 1.0));
-        let out = msa.forward(&session, x).unwrap();
-        let loss = out.mean_pool_rows().unwrap().sum_all().unwrap();
+        let (g, y) = graph_of(&msa, 4);
+        let x = SeededRng::new(5).uniform_tensor(&[4, 8], -1.0, 1.0);
+        let out = interpret(&session, &g, &[&x], y).unwrap();
+        let loss = out.mean_pool_row_blocks(4).unwrap().sum_all().unwrap();
         session.backward(loss).unwrap();
         let with_grad = msa.params().iter().filter(|p| p.grad().is_some()).count();
         assert_eq!(with_grad, msa.params().len());
@@ -324,11 +223,9 @@ mod tests {
         // If every token is identical, attention output rows must be equal.
         let mut rng = SeededRng::new(6);
         let msa = MultiHeadSelfAttention::new(&mut rng, 8, 2).unwrap();
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
+        let (g, y) = graph_of(&msa, 5);
         let row = SeededRng::new(7).uniform_tensor(&[8], -1.0, 1.0);
-        let x = session.constant(row.tile_rows(5).unwrap());
-        let y = msa.forward(&session, x).unwrap().value();
+        let y = interpret_eval(&g, &[&row.tile_rows(5).unwrap()], y).unwrap();
         let first = y.row(0).unwrap();
         for i in 1..5 {
             let other = y.row(i).unwrap();

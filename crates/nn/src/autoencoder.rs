@@ -1,9 +1,9 @@
-use autograd::{Tape, Var};
+use autograd::Tape;
 use tensor::rng::SeededRng;
 use tensor::Tensor;
 
 use crate::optim::{Adam, Optimizer};
-use crate::{Activation, Layer, Mlp, Param, Result, Session};
+use crate::{interpret, Activation, Layer, Mlp, Param, Session};
 
 /// A stacked (denoising) autoencoder.
 ///
@@ -56,33 +56,12 @@ impl StackedAutoencoder {
         self.code_dim
     }
 
-    /// Encodes a batch into the bottleneck representation.
+    /// Appends the encoder to an expression graph (dense layers with the
+    /// sigmoid between them, none after the bottleneck).
     ///
     /// # Errors
-    /// Returns an error if the input width differs from `input_dim`.
-    pub fn encode<'t>(&self, session: &Session<'t>, x: Var<'t>) -> Result<Var<'t>> {
-        self.encoder.forward(session, x)
-    }
-
-    /// Encodes without recording a tape (inference).
-    ///
-    /// # Errors
-    /// Returns an error if the input width differs from `input_dim`.
-    pub fn encode_inference(&self, x: &Tensor) -> Result<Tensor> {
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        Ok(self
-            .encoder
-            .forward(&session, session.constant(x.clone()))?
-            .value())
-    }
-
-    /// Appends the encoder to an expression graph, exactly mirroring the
-    /// eval-mode [`StackedAutoencoder::encode_inference`] (dense layers with
-    /// the sigmoid between them, none after the bottleneck).
-    ///
-    /// # Errors
-    /// Returns a [`graph::GraphError`] on operand-shape mismatch.
+    /// Returns a [`graph::GraphError`] if the input width differs from
+    /// `input_dim`.
     pub fn encode_push_graph(
         &self,
         g: &mut graph::Graph,
@@ -91,13 +70,19 @@ impl StackedAutoencoder {
         self.encoder.push_graph(g, x)
     }
 
-    /// Full reconstruction (encode then decode).
+    /// Appends the full reconstruction (encoder, then the mirrored
+    /// decoder) to an expression graph.
     ///
     /// # Errors
-    /// Returns an error if the input width differs from `input_dim`.
-    pub fn reconstruct<'t>(&self, session: &Session<'t>, x: Var<'t>) -> Result<Var<'t>> {
-        let code = self.encode(session, x)?;
-        self.decoder.forward(session, code)
+    /// Returns a [`graph::GraphError`] if the input width differs from
+    /// `input_dim`.
+    pub fn reconstruct_push_graph(
+        &self,
+        g: &mut graph::Graph,
+        x: graph::ExprId,
+    ) -> std::result::Result<graph::ExprId, graph::GraphError> {
+        let code = self.encoder.push_graph(g, x)?;
+        self.decoder.push_graph(g, code)
     }
 
     /// Pre-trains the autoencoder on `data` (a `[samples, input_dim]` matrix)
@@ -114,7 +99,11 @@ impl StackedAutoencoder {
         learning_rate: f32,
         noise_std: f32,
         seed: u64,
-    ) -> Result<f32> {
+    ) -> std::result::Result<f32, graph::GraphError> {
+        let (rows, cols) = data.shape().as_matrix()?;
+        let mut g = graph::Graph::new();
+        let x = g.input(rows, cols);
+        let recon = self.reconstruct_push_graph(&mut g, x)?;
         let mut adam = Adam::new(learning_rate);
         let mut rng = SeededRng::new(seed);
         let mut last = 0.0;
@@ -127,8 +116,7 @@ impl StackedAutoencoder {
             };
             let tape = Tape::new();
             let session = Session::new(&tape, true, seed.wrapping_add(epoch as u64));
-            let x = session.constant(corrupted);
-            let recon = self.reconstruct(&session, x)?;
+            let recon = interpret(&session, &g, &[&corrupted], recon)?;
             let loss = recon.mse_loss(data)?;
             last = loss.value().item()?;
             session.backward(loss)?;
@@ -152,6 +140,15 @@ impl Layer for StackedAutoencoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interpret_eval;
+    use graph::{ExprId, Graph};
+
+    fn reconstruction_graph(ae: &StackedAutoencoder, rows: usize) -> (Graph, ExprId) {
+        let mut g = Graph::new();
+        let x = g.input(rows, ae.input_dim());
+        let y = ae.reconstruct_push_graph(&mut g, x).unwrap();
+        (g, y)
+    }
 
     #[test]
     fn dimensions_are_mirrored() {
@@ -159,8 +156,10 @@ mod tests {
         let ae = StackedAutoencoder::new(&mut rng, 30, &[16, 8]);
         assert_eq!(ae.input_dim(), 30);
         assert_eq!(ae.code_dim(), 8);
-        let x = Tensor::ones(&[2, 30]);
-        let code = ae.encode_inference(&x).unwrap();
+        let mut g = Graph::new();
+        let x = g.input(2, 30);
+        let code = ae.encode_push_graph(&mut g, x).unwrap();
+        let code = interpret_eval(&g, &[&Tensor::ones(&[2, 30])], code).unwrap();
         assert_eq!(code.shape().dims(), &[2, 8]);
     }
 
@@ -175,11 +174,9 @@ mod tests {
     fn reconstruction_shape_matches_input() {
         let mut rng = SeededRng::new(1);
         let ae = StackedAutoencoder::new(&mut rng, 12, &[6]);
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let x = session.constant(Tensor::ones(&[3, 12]));
-        let recon = ae.reconstruct(&session, x).unwrap();
-        assert_eq!(recon.value().shape().dims(), &[3, 12]);
+        let (g, recon) = reconstruction_graph(&ae, 3);
+        let recon = interpret_eval(&g, &[&Tensor::ones(&[3, 12])], recon).unwrap();
+        assert_eq!(recon.shape().dims(), &[3, 12]);
     }
 
     #[test]
@@ -191,8 +188,8 @@ mod tests {
         // Loss before training.
         let tape = Tape::new();
         let session = Session::new(&tape, false, 0);
-        let before = ae
-            .reconstruct(&session, session.constant(data.clone()))
+        let (g, recon) = reconstruction_graph(&ae, 32);
+        let before = interpret(&session, &g, &[&data], recon)
             .unwrap()
             .mse_loss(&data)
             .unwrap()

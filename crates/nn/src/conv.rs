@@ -1,8 +1,7 @@
-use autograd::Var;
 use tensor::rng::SeededRng;
-use tensor::{Tensor, TensorError};
+use tensor::TensorError;
 
-use crate::{Dense, Init, Layer, Param, Result, Session};
+use crate::{Dense, Init, Layer, Param, Result};
 
 /// A 1-D convolution over the feature (AP) axis of a fingerprint batch.
 ///
@@ -67,26 +66,9 @@ impl Conv1d {
         Ok(self.windows_for(length)? * self.out_channels)
     }
 
-    /// Applies the convolution to a `[batch, length]` variable.
-    ///
-    /// # Errors
-    /// Returns an error if the input is narrower than the kernel.
-    pub fn forward<'t>(&self, session: &Session<'t>, x: Var<'t>) -> Result<Var<'t>> {
-        let (_, length) = x.value().shape().as_matrix()?;
-        let windows = self.windows_for(length)?;
-        let mut outputs = Vec::with_capacity(windows);
-        for w in 0..windows {
-            let start = w * self.stride;
-            let window = x.slice_cols(start, start + self.kernel_size)?;
-            outputs.push(self.kernel.forward(session, window)?);
-        }
-        Var::concat_cols(&outputs)
-    }
-
     /// Appends the convolution to an expression graph: every sliding
-    /// window is a column slice sharing one dense projection, exactly the
-    /// decomposition [`Conv1d::forward`] records on a tape, so the compiled
-    /// kernel is bit-identical to the eager pass.
+    /// window is a column slice through one shared dense projection, whose
+    /// outputs are concatenated column-wise.
     ///
     /// # Errors
     /// Returns a [`graph::GraphError`] if the input is narrower than the
@@ -96,15 +78,8 @@ impl Conv1d {
         g: &mut graph::Graph,
         x: graph::ExprId,
     ) -> std::result::Result<graph::ExprId, graph::GraphError> {
-        let (rows, length) = g.dims(x)?;
-        if length < self.kernel_size {
-            return Err(graph::GraphError::ShapeMismatch {
-                op: "conv1d",
-                lhs: (rows, length),
-                rhs: (self.kernel_size, self.out_channels),
-            });
-        }
-        let windows = (length - self.kernel_size) / self.stride + 1;
+        let (_, length) = g.dims(x)?;
+        let windows = self.windows_for(length)?;
         let mut outputs = Vec::with_capacity(windows);
         for w in 0..windows {
             let start = w * self.stride;
@@ -112,23 +87,6 @@ impl Conv1d {
             outputs.push(self.kernel.push_graph(g, window)?);
         }
         g.concat_cols(&outputs)
-    }
-
-    /// Inference-only forward pass without a tape.
-    ///
-    /// # Errors
-    /// Returns an error if the input is narrower than the kernel.
-    pub fn forward_inference(&self, x: &Tensor) -> Result<Tensor> {
-        let (_, length) = x.shape().as_matrix()?;
-        let windows = self.windows_for(length)?;
-        let mut outputs = Vec::with_capacity(windows);
-        for w in 0..windows {
-            let start = w * self.stride;
-            let window = x.slice_cols(start, start + self.kernel_size)?;
-            outputs.push(self.kernel.forward_inference(&window)?);
-        }
-        let refs: Vec<&Tensor> = outputs.iter().collect();
-        Tensor::concat_cols(&refs)
     }
 }
 
@@ -141,7 +99,17 @@ impl Layer for Conv1d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{interpret, interpret_eval, Session};
     use autograd::Tape;
+    use graph::{Compiler, Graph};
+    use tensor::Tensor;
+
+    fn graph_of(conv: &Conv1d, rows: usize, length: usize) -> (Graph, graph::ExprId) {
+        let mut g = Graph::new();
+        let x = g.input(rows, length);
+        let y = conv.push_graph(&mut g, x).unwrap();
+        (g, y)
+    }
 
     #[test]
     fn rejects_zero_configuration() {
@@ -164,10 +132,9 @@ mod tests {
     fn forward_shape_and_finiteness() {
         let mut rng = SeededRng::new(2);
         let conv = Conv1d::new(&mut rng, 5, 3, 1).unwrap();
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let x = session.constant(SeededRng::new(3).uniform_tensor(&[2, 20], -1.0, 1.0));
-        let y = conv.forward(&session, x).unwrap().value();
+        let (g, y) = graph_of(&conv, 2, 20);
+        let x = SeededRng::new(3).uniform_tensor(&[2, 20], -1.0, 1.0);
+        let y = interpret_eval(&g, &[&x], y).unwrap();
         assert_eq!(y.shape().dims(), &[2, 16 * 3]);
         assert!(y.all_finite());
     }
@@ -177,13 +144,10 @@ mod tests {
         let mut rng = SeededRng::new(4);
         let conv = Conv1d::new(&mut rng, 3, 2, 2).unwrap();
         let x = SeededRng::new(5).uniform_tensor(&[3, 11], -1.0, 1.0);
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let y_tape = conv
-            .forward(&session, session.constant(x.clone()))
-            .unwrap()
-            .value();
-        let y_inf = conv.forward_inference(&x).unwrap();
+        let (g, y) = graph_of(&conv, 3, 11);
+        let y_tape = interpret_eval(&g, &[&x], y).unwrap();
+        let plan = Compiler::new().compile(&g, y).unwrap();
+        let y_inf = plan.execute(&mut plan.new_arena(), &[&x]).unwrap();
         assert_eq!(y_tape, y_inf);
     }
 
@@ -193,8 +157,11 @@ mod tests {
         let conv = Conv1d::new(&mut rng, 3, 2, 1).unwrap();
         let tape = Tape::new();
         let session = Session::new(&tape, true, 0);
-        let x = session.constant(Tensor::ones(&[1, 8]));
-        let loss = conv.forward(&session, x).unwrap().sum_all().unwrap();
+        let (g, y) = graph_of(&conv, 1, 8);
+        let loss = interpret(&session, &g, &[&Tensor::ones(&[1, 8])], y)
+            .unwrap()
+            .sum_all()
+            .unwrap();
         session.backward(loss).unwrap();
         for p in conv.params() {
             assert!(p.grad().is_some());

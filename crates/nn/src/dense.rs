@@ -1,8 +1,7 @@
-use autograd::Var;
 use tensor::rng::SeededRng;
 use tensor::Tensor;
 
-use crate::{Init, Layer, Param, Result, Session};
+use crate::{Init, Layer, Param};
 
 /// A fully-connected affine layer: `y = x W + b`.
 ///
@@ -44,41 +43,20 @@ impl Dense {
         self.out_features
     }
 
-    /// Applies the affine map to a `[batch, in_features]` variable.
+    /// Appends this layer's affine map to an expression graph, binding the
+    /// weight and bias constants to their params. The bias add fuses into
+    /// the GEMM's output pass at compile time.
     ///
     /// # Errors
-    /// Returns an error if the input's column count differs from
-    /// `in_features`.
-    pub fn forward<'t>(&self, session: &Session<'t>, x: Var<'t>) -> Result<Var<'t>> {
-        let w = session.param(&self.weight);
-        let b = session.param(&self.bias);
-        x.matmul(w)?.add_row_broadcast(b)
-    }
-
-    /// Direct (inference-only) forward pass without recording on a tape.
-    ///
-    /// # Errors
-    /// Returns an error if the input's column count differs from
-    /// `in_features`.
-    pub fn forward_inference(&self, x: &Tensor) -> Result<Tensor> {
-        x.matmul(&self.weight.value())?
-            .add_row_broadcast(&self.bias.value())
-    }
-
-    /// Appends this layer's affine map to an expression graph, snapshotting
-    /// the current weights as constants. The bias add fuses into the GEMM's
-    /// output pass at compile time, so the compiled plan is bit-identical
-    /// to [`Dense::forward_inference`] while touching the output once.
-    ///
-    /// # Errors
-    /// Returns a [`graph::GraphError`] on operand-shape mismatch.
+    /// Returns a [`graph::GraphError`] if the input's column count differs
+    /// from `in_features`.
     pub fn push_graph(
         &self,
         g: &mut graph::Graph,
         x: graph::ExprId,
     ) -> std::result::Result<graph::ExprId, graph::GraphError> {
-        let w = g.constant(self.weight.value())?;
-        let b = g.constant(self.bias.value())?;
+        let w = self.weight.push_graph(g)?;
+        let b = self.bias.push_graph(g)?;
         let mm = g.matmul(x, w, tensor::MatmulSpec::NN)?;
         g.add_row_broadcast(mm, b)
     }
@@ -93,7 +71,16 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{interpret, interpret_eval, Session};
     use autograd::Tape;
+    use graph::{Compiler, Graph};
+
+    fn graph_of(layer: &Dense, rows: usize) -> (Graph, graph::ExprId) {
+        let mut g = Graph::new();
+        let x = g.input(rows, layer.in_features());
+        let y = layer.push_graph(&mut g, x).unwrap();
+        (g, y)
+    }
 
     #[test]
     fn forward_shape_and_param_count() {
@@ -103,25 +90,22 @@ mod tests {
         assert_eq!(layer.in_features(), 4);
         assert_eq!(layer.out_features(), 3);
 
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let x = session.constant(Tensor::ones(&[2, 4]));
-        let y = layer.forward(&session, x).unwrap();
-        assert_eq!(y.value().shape().dims(), &[2, 3]);
+        let (g, y) = graph_of(&layer, 2);
+        let y = interpret_eval(&g, &[&Tensor::ones(&[2, 4])], y).unwrap();
+        assert_eq!(y.shape().dims(), &[2, 3]);
     }
 
+    /// The inference forward is the compiled plan; it must equal the
+    /// graph replayed onto a tape bit for bit.
     #[test]
     fn forward_inference_matches_tape_forward() {
         let mut rng = SeededRng::new(1);
         let layer = Dense::new(&mut rng, 5, 2, Init::He);
         let x = SeededRng::new(2).uniform_tensor(&[3, 5], -1.0, 1.0);
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let y_tape = layer
-            .forward(&session, session.constant(x.clone()))
-            .unwrap()
-            .value();
-        let y_direct = layer.forward_inference(&x).unwrap();
+        let (g, y) = graph_of(&layer, 3);
+        let y_tape = interpret_eval(&g, &[&x], y).unwrap();
+        let plan = Compiler::new().compile(&g, y).unwrap();
+        let y_direct = plan.execute(&mut plan.new_arena(), &[&x]).unwrap();
         assert_eq!(y_tape, y_direct);
     }
 
@@ -131,9 +115,8 @@ mod tests {
         let layer = Dense::new(&mut rng, 2, 2, Init::Xavier);
         let tape = Tape::new();
         let session = Session::new(&tape, true, 0);
-        let x = session.constant(Tensor::ones(&[4, 2]));
-        let loss = layer
-            .forward(&session, x)
+        let (g, y) = graph_of(&layer, 4);
+        let loss = interpret(&session, &g, &[&Tensor::ones(&[4, 2])], y)
             .unwrap()
             .softmax_cross_entropy(&[0, 1, 0, 1])
             .unwrap();
@@ -147,6 +130,8 @@ mod tests {
     fn wrong_input_width_errors() {
         let mut rng = SeededRng::new(4);
         let layer = Dense::new(&mut rng, 3, 2, Init::Xavier);
-        assert!(layer.forward_inference(&Tensor::ones(&[1, 5])).is_err());
+        let mut g = Graph::new();
+        let x = g.input(1, 5);
+        assert!(layer.push_graph(&mut g, x).is_err());
     }
 }

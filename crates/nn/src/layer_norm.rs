@@ -1,7 +1,6 @@
-use autograd::Var;
 use tensor::Tensor;
 
-use crate::{Layer, Param, Result, Session};
+use crate::{Layer, Param};
 
 /// Layer normalisation with learnable per-feature scale and shift.
 ///
@@ -37,30 +36,21 @@ impl LayerNorm {
         self.features
     }
 
-    /// Normalises each row of a `[rows, features]` variable.
-    ///
-    /// # Errors
-    /// Returns an error if the input's column count differs from `features`.
-    pub fn forward<'t>(&self, session: &Session<'t>, x: Var<'t>) -> Result<Var<'t>> {
-        let gamma = session.param(&self.gamma);
-        let beta = session.param(&self.beta);
-        x.layer_norm(gamma, beta, self.eps)
-    }
-
-    /// Appends this normalisation to an expression graph, snapshotting
-    /// γ/β as constants. Compiles to the fused one-pass layer-norm kernel,
-    /// which evaluates the same per-element arithmetic as the eager
+    /// Appends this normalisation to an expression graph, binding γ/β to
+    /// their params. Compiles to the fused one-pass layer-norm kernel,
+    /// which evaluates the same per-element arithmetic as the tape's
     /// standardise → scale → shift sequence.
     ///
     /// # Errors
-    /// Returns a [`graph::GraphError`] on operand-shape mismatch.
+    /// Returns a [`graph::GraphError`] if the input's column count differs
+    /// from `features`.
     pub fn push_graph(
         &self,
         g: &mut graph::Graph,
         x: graph::ExprId,
     ) -> std::result::Result<graph::ExprId, graph::GraphError> {
-        let gamma = g.constant(self.gamma.value())?;
-        let beta = g.constant(self.beta.value())?;
+        let gamma = self.gamma.push_graph(g)?;
+        let beta = self.beta.push_graph(g)?;
         g.layer_norm(x, gamma, beta, self.eps)
     }
 }
@@ -74,18 +64,26 @@ impl Layer for LayerNorm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{interpret, interpret_eval, Session};
     use autograd::Tape;
+    use graph::Graph;
     use tensor::rng::SeededRng;
+
+    fn graph_of(ln: &LayerNorm, rows: usize) -> (Graph, graph::ExprId) {
+        let mut g = Graph::new();
+        let x = g.input(rows, ln.features());
+        let y = ln.push_graph(&mut g, x).unwrap();
+        (g, y)
+    }
 
     #[test]
     fn normalises_rows() {
         let ln = LayerNorm::new(8);
         assert_eq!(ln.features(), 8);
         assert_eq!(ln.param_count(), 16);
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let x = session.constant(SeededRng::new(0).uniform_tensor(&[4, 8], -50.0, 10.0));
-        let y = ln.forward(&session, x).unwrap().value();
+        let (g, y) = graph_of(&ln, 4);
+        let x = SeededRng::new(0).uniform_tensor(&[4, 8], -50.0, 10.0);
+        let y = interpret_eval(&g, &[&x], y).unwrap();
         for i in 0..4 {
             let row = y.row(i).unwrap();
             assert!(row.mean().abs() < 1e-4);
@@ -98,9 +96,9 @@ mod tests {
         let ln = LayerNorm::new(3);
         let tape = Tape::new();
         let session = Session::new(&tape, true, 0);
-        let x = session.constant(SeededRng::new(1).uniform_tensor(&[2, 3], -1.0, 1.0));
-        let loss = ln
-            .forward(&session, x)
+        let (g, y) = graph_of(&ln, 2);
+        let x = SeededRng::new(1).uniform_tensor(&[2, 3], -1.0, 1.0);
+        let loss = interpret(&session, &g, &[&x], y)
             .unwrap()
             .softmax_cross_entropy(&[0, 2])
             .unwrap();
@@ -113,9 +111,8 @@ mod tests {
     #[test]
     fn feature_mismatch_errors() {
         let ln = LayerNorm::new(4);
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let x = session.constant(Tensor::ones(&[2, 3]));
-        assert!(ln.forward(&session, x).is_err());
+        let mut g = Graph::new();
+        let x = g.input(2, 3);
+        assert!(ln.push_graph(&mut g, x).is_err());
     }
 }

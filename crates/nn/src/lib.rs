@@ -17,8 +17,11 @@
 //! * [`Session`] — wraps an autograd [`autograd::Tape`] for one forward /
 //!   backward pass, registering every parameter used so gradients can be
 //!   copied back after [`Session::backward`].
-//! * [`Layer`] implementations — own their [`Param`]s and expose
-//!   `forward(&self, session, input)`.
+//! * [`Layer`] implementations — own their [`Param`]s and define their
+//!   forward pass once, as a `push_graph(&self, graph, input)` builder
+//!   over the [`graph`] IR. Compiled plans serve inference from that
+//!   graph; [`interpret`] replays it onto a [`Session`] for training and
+//!   as the reference the compiled plans are checked against.
 //! * [`optim`] — optimizers that update the values held by [`Param`]s using
 //!   their accumulated gradients.
 //!
@@ -26,20 +29,23 @@
 //!
 //! ```
 //! use autograd::Tape;
-//! use nn::{Dense, Init, Layer, Session};
+//! use nn::{interpret, Dense, Init, Layer, Session};
 //! use nn::optim::{Optimizer, Sgd};
 //! use tensor::rng::SeededRng;
 //! use tensor::Tensor;
 //!
-//! # fn main() -> Result<(), tensor::TensorError> {
+//! # fn main() -> Result<(), graph::GraphError> {
 //! let mut rng = SeededRng::new(0);
 //! let dense = Dense::new(&mut rng, 4, 2, Init::Xavier);
 //! let mut sgd = Sgd::new(0.1);
 //!
+//! let mut g = graph::Graph::new();
+//! let x = g.input(3, 4);
+//! let y = dense.push_graph(&mut g, x)?;
+//!
 //! let tape = Tape::new();
 //! let session = Session::new(&tape, true, 42);
-//! let x = session.constant(Tensor::ones(&[3, 4]));
-//! let out = dense.forward(&session, x)?;
+//! let out = interpret(&session, &g, &[&Tensor::ones(&[3, 4])], y)?;
 //! let loss = out.softmax_cross_entropy(&[0, 1, 0])?;
 //! session.backward(loss)?;
 //! sgd.step(&dense.params());
@@ -60,6 +66,7 @@ mod autoencoder;
 mod conv;
 mod dense;
 mod init;
+mod interpret;
 mod layer_norm;
 mod mlp;
 pub mod optim;
@@ -71,6 +78,7 @@ pub use autoencoder::StackedAutoencoder;
 pub use conv::Conv1d;
 pub use dense::Dense;
 pub use init::Init;
+pub use interpret::{interpret, interpret_eval};
 pub use layer_norm::LayerNorm;
 pub use mlp::{Activation, Mlp};
 pub use param::{weight_stamp, Param};

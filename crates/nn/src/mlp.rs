@@ -1,7 +1,6 @@
-use autograd::Var;
 use tensor::rng::SeededRng;
 
-use crate::{Dense, Init, Layer, Param, Result, Session};
+use crate::{Dense, Init, Layer, Param};
 
 /// Non-linearity applied between the hidden layers of an [`Mlp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -21,19 +20,8 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply<'t>(self, x: Var<'t>) -> Var<'t> {
-        match self {
-            Activation::Gelu => x.gelu(),
-            Activation::Relu => x.relu(),
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => x.sigmoid(),
-            Activation::Identity => x,
-        }
-    }
-
     /// The named elementwise op this activation evaluates, or `None` for
-    /// [`Activation::Identity`]. The eager forwards and the compiled-graph
-    /// kernels share these ops, so both paths run the same scalar code.
+    /// [`Activation::Identity`].
     pub fn unary_op(self) -> Option<tensor::UnaryOp> {
         match self {
             Activation::Gelu => Some(tensor::UnaryOp::Gelu),
@@ -104,29 +92,10 @@ impl Mlp {
             .unwrap_or_default()
     }
 
-    /// Applies the MLP to a `[batch, in_features]` variable.
-    ///
-    /// # Errors
-    /// Returns an error if the input width does not match the first layer.
-    pub fn forward<'t>(&self, session: &Session<'t>, x: Var<'t>) -> Result<Var<'t>> {
-        let mut h = x;
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(session, h)?;
-            if i != last {
-                h = self.activation.apply(h);
-                if self.dropout > 0.0 {
-                    h = session.dropout(h, self.dropout)?;
-                }
-            }
-        }
-        Ok(h)
-    }
-
     /// Appends the MLP to an expression graph: dense layers with the
-    /// activation between them (none after the last), exactly mirroring
-    /// the eval-mode [`Mlp::forward`]. Dropout is an identity in eval mode
-    /// and is therefore not represented in the graph.
+    /// activation between them (none after the last), each hidden
+    /// activation followed by a dropout node when dropout is enabled (the
+    /// compiler folds those away for inference).
     ///
     /// # Errors
     /// Returns a [`graph::GraphError`] on operand-shape mismatch.
@@ -143,6 +112,9 @@ impl Mlp {
                 if let Some(op) = self.activation.unary_op() {
                     h = g.unary(h, op)?;
                 }
+                if self.dropout > 0.0 {
+                    h = g.dropout(h, self.dropout)?;
+                }
             }
         }
         Ok(h)
@@ -158,8 +130,19 @@ impl Layer for Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autograd::Tape;
+    use crate::{interpret, Session};
+    use autograd::{Tape, Var};
+    use graph::Graph;
     use tensor::Tensor;
+
+    /// Replays `mlp` over `x` onto `session`.
+    fn replay<'t>(mlp: &Mlp, session: &Session<'t>, x: &Tensor) -> Var<'t> {
+        let (rows, cols) = x.shape().as_matrix().unwrap();
+        let mut g = Graph::new();
+        let input = g.input(rows, cols);
+        let y = mlp.push_graph(&mut g, input).unwrap();
+        interpret(session, &g, &[x], y).unwrap()
+    }
 
     #[test]
     fn builds_correct_layer_stack() {
@@ -190,8 +173,7 @@ mod tests {
             let mlp = Mlp::new(&mut rng, &[5, 8, 3], act);
             let tape = Tape::new();
             let session = Session::new(&tape, false, 0);
-            let x = session.constant(Tensor::ones(&[4, 5]));
-            let y = mlp.forward(&session, x).unwrap();
+            let y = replay(&mlp, &session, &Tensor::ones(&[4, 5]));
             assert_eq!(y.value().shape().dims(), &[4, 3]);
             assert!(y.value().all_finite());
         }
@@ -205,22 +187,16 @@ mod tests {
 
         let tape_eval = Tape::new();
         let s_eval = Session::new(&tape_eval, false, 9);
-        let y_eval_a = mlp
-            .forward(&s_eval, s_eval.constant(x.clone()))
-            .unwrap()
-            .value();
+        let y_eval_a = replay(&mlp, &s_eval, &x).value();
         let tape_eval2 = Tape::new();
         let s_eval2 = Session::new(&tape_eval2, false, 10);
-        let y_eval_b = mlp
-            .forward(&s_eval2, s_eval2.constant(x.clone()))
-            .unwrap()
-            .value();
+        let y_eval_b = replay(&mlp, &s_eval2, &x).value();
         // Eval mode is deterministic regardless of seed.
         assert_eq!(y_eval_a, y_eval_b);
 
         let tape_train = Tape::new();
         let s_train = Session::new(&tape_train, true, 11);
-        let y_train = mlp.forward(&s_train, s_train.constant(x)).unwrap().value();
+        let y_train = replay(&mlp, &s_train, &x).value();
         // Training output will almost surely differ due to dropout.
         assert_ne!(y_eval_a, y_train);
     }
@@ -239,8 +215,7 @@ mod tests {
         for step in 0..300 {
             let tape = Tape::new();
             let session = Session::new(&tape, true, step);
-            let x = session.constant(inputs.clone());
-            let logits = mlp.forward(&session, x).unwrap();
+            let logits = replay(&mlp, &session, &inputs);
             let loss = logits.softmax_cross_entropy(&targets).unwrap();
             last_loss = loss.value().item().unwrap();
             session.backward(loss).unwrap();
@@ -253,10 +228,7 @@ mod tests {
         // Check predictions.
         let tape = Tape::new();
         let session = Session::new(&tape, false, 0);
-        let logits = mlp
-            .forward(&session, session.constant(inputs))
-            .unwrap()
-            .value();
+        let logits = replay(&mlp, &session, &inputs).value();
         assert_eq!(logits.argmax_rows().unwrap(), vec![0, 1, 1, 0]);
     }
 }

@@ -79,6 +79,17 @@ impl Param {
         self.0.value.read().expect("param lock poisoned").clone()
     }
 
+    /// Pushes a snapshot of the current value onto an expression graph as
+    /// a constant bound to this parameter: compiled plans read the
+    /// snapshot, and [`crate::interpret`] registers the parameter on the
+    /// training session at this node.
+    ///
+    /// # Errors
+    /// Returns [`graph::GraphError::BadConstant`] for rank > 2 values.
+    pub fn push_graph(&self, g: &mut graph::Graph) -> Result<graph::ExprId, graph::GraphError> {
+        g.bound_constant(self.value(), self.clone())
+    }
+
     /// Replaces the current value (training path: optimizer steps and
     /// checkpoint restores).
     ///

@@ -92,12 +92,6 @@ impl<'t> Session<'t> {
         x.mul_mask(&mask)
     }
 
-    /// Draws from the session RNG; exposed for layers that need extra
-    /// stochasticity (e.g. data augmentation applied inside a model).
-    pub fn rng(&self) -> std::cell::RefMut<'_, SeededRng> {
-        self.rng.borrow_mut()
-    }
-
     /// Runs the backward pass from `loss` and copies every registered
     /// parameter's gradient out of the tape (accumulating into the params).
     ///

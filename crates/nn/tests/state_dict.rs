@@ -2,25 +2,26 @@
 //! same architecture, restored from another layer's `state_dict`, must
 //! produce bit-identical forward passes.
 
-use autograd::Tape;
+use graph::{ExprId, Graph, GraphError};
 use nn::{
-    Activation, Conv1d, Dense, Init, Layer, LayerNorm, Mlp, MultiHeadSelfAttention, Session,
+    interpret_eval, Activation, Conv1d, Dense, Init, Layer, LayerNorm, Mlp, MultiHeadSelfAttention,
     StackedAutoencoder,
 };
 use tensor::rng::SeededRng;
 use tensor::{Tensor, TensorError};
 
-/// Runs `layer`'s tape-free forward on `x` via a fresh inference session.
+/// Builds `layer`'s graph over `x` with `f` and replays it on a fresh
+/// inference tape.
 fn forward<L: Layer>(
     layer: &L,
     x: &Tensor,
-    f: impl for<'t> Fn(&L, &Session<'t>, autograd::Var<'t>) -> nn::Result<autograd::Var<'t>>,
+    f: impl Fn(&L, &mut Graph, ExprId) -> Result<ExprId, GraphError>,
 ) -> Tensor {
-    let tape = Tape::new();
-    let session = Session::new(&tape, false, 0);
-    f(layer, &session, session.constant(x.clone()))
-        .unwrap()
-        .value()
+    let (rows, cols) = x.shape().as_matrix().unwrap();
+    let mut g = Graph::new();
+    let input = g.input(rows, cols);
+    let out = f(layer, &mut g, input).unwrap();
+    interpret_eval(&g, &[x], out).unwrap()
 }
 
 /// Asserts two tensors carry identical bit patterns.
@@ -41,8 +42,8 @@ fn dense_round_trips_bit_exactly() {
 
     let x = SeededRng::new(3).uniform_tensor(&[5, 6], -1.0, 1.0);
     assert_bits_equal(
-        &forward(&original, &x, |l, s, v| l.forward(s, v)),
-        &forward(&restored, &x, |l, s, v| l.forward(s, v)),
+        &forward(&original, &x, |l, g, x| l.push_graph(g, x)),
+        &forward(&restored, &x, |l, g, x| l.push_graph(g, x)),
     );
 }
 
@@ -56,8 +57,8 @@ fn layer_norm_round_trips_bit_exactly() {
 
     let x = SeededRng::new(5).uniform_tensor(&[3, 8], -2.0, 2.0);
     assert_bits_equal(
-        &forward(&original, &x, |l, s, v| l.forward(s, v)),
-        &forward(&restored, &x, |l, s, v| l.forward(s, v)),
+        &forward(&original, &x, |l, g, x| l.push_graph(g, x)),
+        &forward(&restored, &x, |l, g, x| l.push_graph(g, x)),
     );
 }
 
@@ -71,8 +72,8 @@ fn conv1d_round_trips_bit_exactly() {
 
     let x = SeededRng::new(8).uniform_tensor(&[2, 10], -1.0, 1.0);
     assert_bits_equal(
-        &forward(&original, &x, |l, s, v| l.forward(s, v)),
-        &forward(&restored, &x, |l, s, v| l.forward(s, v)),
+        &forward(&original, &x, |l, g, x| l.push_graph(g, x)),
+        &forward(&restored, &x, |l, g, x| l.push_graph(g, x)),
     );
 }
 
@@ -86,8 +87,8 @@ fn attention_round_trips_bit_exactly() {
 
     let x = SeededRng::new(11).uniform_tensor(&[7, 16], -1.0, 1.0);
     assert_bits_equal(
-        &forward(&original, &x, |l, s, v| l.forward(s, v)),
-        &forward(&restored, &x, |l, s, v| l.forward(s, v)),
+        &forward(&original, &x, |l, g, x| l.push_graph(g, x, 1)),
+        &forward(&restored, &x, |l, g, x| l.push_graph(g, x, 1)),
     );
 }
 
@@ -101,8 +102,8 @@ fn mlp_round_trips_bit_exactly() {
 
     let x = SeededRng::new(14).uniform_tensor(&[4, 5], -1.0, 1.0);
     assert_bits_equal(
-        &forward(&original, &x, |l, s, v| l.forward(s, v)),
-        &forward(&restored, &x, |l, s, v| l.forward(s, v)),
+        &forward(&original, &x, |l, g, x| l.push_graph(g, x)),
+        &forward(&restored, &x, |l, g, x| l.push_graph(g, x)),
     );
 }
 
@@ -116,8 +117,8 @@ fn autoencoder_round_trips_bit_exactly() {
 
     let x = SeededRng::new(17).uniform_tensor(&[3, 12], 0.0, 1.0);
     assert_bits_equal(
-        &original.encode_inference(&x).unwrap(),
-        &restored.encode_inference(&x).unwrap(),
+        &forward(&original, &x, |l, g, x| l.encode_push_graph(g, x)),
+        &forward(&restored, &x, |l, g, x| l.encode_push_graph(g, x)),
     );
 }
 

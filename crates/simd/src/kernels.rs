@@ -231,6 +231,15 @@ fn softmax_row<S: SimdOp>(row: &mut [f32]) {
         sacc = S::add(sacc, t);
     }
     let denom = S::hsum(sacc);
+    // A row holding NaN or +∞ (or only −∞) makes some exponential NaN, so
+    // the denominator and every output are NaN. Which NaN each lane
+    // carries depends on the backend's operand order, so pin the row to
+    // the canonical quiet NaN: every level then returns the same bits.
+    // Rows with a non-NaN denominator never take this branch.
+    if denom.is_nan() {
+        row.fill(f32::NAN);
+        return;
+    }
     // Pass 3: divide. Division is a single IEEE operation, so the scalar
     // tail is bit-identical to a padded block at every level.
     let dv = S::splat(denom);

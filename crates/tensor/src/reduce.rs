@@ -120,18 +120,6 @@ impl Tensor {
         Tensor::from_vec(out, &[c])
     }
 
-    /// Mean along rows of a matrix, returning a rank-1 tensor of length `cols`.
-    ///
-    /// # Errors
-    /// Returns an error if the tensor is not a matrix or has zero rows.
-    pub fn mean_rows(&self) -> Result<Tensor> {
-        let (r, _) = self.shape().as_matrix()?;
-        if r == 0 {
-            return Err(TensorError::Empty { op: "mean_rows" });
-        }
-        Ok(self.sum_rows()?.scale(1.0 / r as f32))
-    }
-
     /// Sums consecutive blocks of `block_rows` rows of a
     /// `[blocks * block_rows, cols]` matrix elementwise, returning a
     /// `[block_rows, cols]` matrix.
@@ -349,9 +337,12 @@ mod tests {
         let m = a.mean_row_blocks(2).unwrap();
         assert_eq!(m.shape().dims(), &[2, 2]);
         assert_eq!(m.as_slice(), &[2.0, 3.0, 20.0, 30.0]);
-        // Pooling the whole matrix matches mean_rows.
+        // Pooling the whole matrix is the row mean.
         let whole = a.mean_row_blocks(4).unwrap();
-        assert_eq!(whole.as_slice(), a.mean_rows().unwrap().as_slice());
+        assert_eq!(
+            whole.as_slice(),
+            a.sum_rows().unwrap().scale(0.25).as_slice()
+        );
         assert!(a.mean_row_blocks(3).is_err());
     }
 
@@ -387,7 +378,7 @@ mod tests {
     fn row_reductions() {
         let m = t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
         assert_eq!(m.sum_rows().unwrap().as_slice(), &[4.0, 6.0]);
-        assert_eq!(m.mean_rows().unwrap().as_slice(), &[2.0, 3.0]);
+        assert_eq!(m.mean_row_blocks(2).unwrap().as_slice(), &[2.0, 3.0]);
     }
 
     #[test]
